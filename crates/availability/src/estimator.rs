@@ -13,8 +13,6 @@
 //! * [`HeartbeatMonitor`] — converts a stream of heartbeat arrivals and
 //!   timeouts into up/down intervals feeding either estimator.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::require_positive;
 use crate::AvailabilityError;
 
@@ -38,7 +36,7 @@ use crate::AvailabilityError;
 /// assert!((est.lambda().unwrap() - 2.0 / 200.0).abs() < 1e-12);
 /// assert!((est.mu().unwrap() - 20.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct IntervalEstimator {
     total_uptime: f64,
     total_downtime: f64,
@@ -120,7 +118,7 @@ impl IntervalEstimator {
 /// This matches the paper's footprint constraint: two doubles per node
 /// (plus the smoothing constant), "updated whenever the heart beat
 /// arrivals/misses are sufficient to change its values".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EwmaEstimator {
     alpha: f64,
     mtbi: Option<f64>,
@@ -191,7 +189,7 @@ impl EwmaEstimator {
 }
 
 /// The state of a monitored node as inferred from heartbeats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeState {
     /// Heartbeats arriving on schedule.
     Up,
@@ -207,7 +205,7 @@ pub enum NodeState {
 /// heartbeat collector declares the node missing. Down-time is measured
 /// from the *last seen* heartbeat, which is the only information the
 /// NameNode actually has.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeartbeatMonitor {
     state: NodeState,
     last_transition: f64,

@@ -7,8 +7,6 @@
 //! CACM 1985); [`TailSummary`] bundles the quantiles experiment reports
 //! use (p50/p90/p99/max).
 
-use serde::{Deserialize, Serialize};
-
 use crate::AvailabilityError;
 
 /// Streaming estimator of one quantile via the P² algorithm.
@@ -31,7 +29,7 @@ use crate::AvailabilityError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct P2 {
     q: f64,
     /// Marker heights.
@@ -184,7 +182,7 @@ impl P2 {
 }
 
 /// The tail quantiles experiment reports care about.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TailSummary {
     p50: P2,
     p90: P2,

@@ -16,7 +16,6 @@
 //! reference simulator used to validate them.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::dist::{uniform_open01, Sample};
 use crate::error::{require_non_negative, require_positive};
@@ -28,7 +27,7 @@ use crate::AvailabilityError;
 /// The paper's naive baseline policy weighs hosts by
 /// `(MTBI − μ)/MTBI = 1 − λμ` (Section V-C); this newtype carries that
 /// quantity and clamps it into `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Availability(f64);
 
 impl Availability {
@@ -84,7 +83,7 @@ impl Availability {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskModel {
     lambda: f64,
     mu: f64,

@@ -9,8 +9,6 @@
 //! for). The experiment harnesses use these to sanity-check placements
 //! and the ablation suite uses them to attribute wins.
 
-use serde::{Deserialize, Serialize};
-
 use adapt_availability::Moments;
 use adapt_dfs::placement::ClusterView;
 use adapt_dfs::{DfsError, FileId, NameNode};
@@ -18,7 +16,7 @@ use adapt_dfs::{DfsError, FileId, NameNode};
 use crate::predictor::PerformancePredictor;
 
 /// Analytic quality metrics of one file's placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementAnalysis {
     /// Per-node replica counts.
     pub blocks_per_node: Vec<usize>,

@@ -17,12 +17,11 @@
 //! the reproduction's ablations.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use adapt_dfs::DfsError;
 
 /// How a collision chain distributes probability among its members.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ChainWeighting {
     /// The paper's rule: member `i` is chosen with probability
     /// `rateᵢ / Σ_chain rate`.

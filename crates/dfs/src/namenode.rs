@@ -14,7 +14,6 @@ use std::collections::BTreeSet;
 use adapt_metrics::MetricsHub;
 use adapt_trace::{TraceEvent, TraceRecorder};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::block::{BlockId, FileId, NodeId};
 use crate::cluster::{NodeAvailability, NodeSpec};
@@ -23,7 +22,7 @@ use crate::telemetry::{NameNodeTelemetry, NameNodeTelemetrySnapshot};
 use crate::DfsError;
 
 /// Per-node block cap for one file's placement session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Threshold {
     /// No cap: a policy may pile arbitrarily many blocks on one node.
     None,
@@ -58,7 +57,7 @@ impl Threshold {
 }
 
 /// Metadata of one file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FileMeta {
     name: String,
     replication: usize,
@@ -83,7 +82,7 @@ impl FileMeta {
 }
 
 /// Metadata of one block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockMeta {
     file: FileId,
     index: usize,

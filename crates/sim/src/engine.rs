@@ -38,7 +38,6 @@ use adapt_ds::{IdSet, SortedVecSet};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use adapt_dfs::{BlockSize, NodeId};
 use adapt_metrics::{MetricsHub, MetricsRegistry, WorkCounts};
@@ -52,7 +51,7 @@ use crate::SimError;
 
 /// Per-node activity summary of one run (from
 /// [`MapPhaseSim::run_detailed`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NodeStat {
     /// Seconds the node spent on attempts (compute and transfer wait).
     pub busy: f64,
@@ -84,7 +83,7 @@ pub struct DetailedReport {
 }
 
 /// How the JobTracker orders steal candidates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulingMode {
     /// Hadoop 0.20 behaviour: first pending task in id (FIFO) order.
     #[default]
@@ -97,7 +96,7 @@ pub enum SchedulingMode {
 }
 
 /// Simulation parameters shared by every node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     bandwidth_mbps: f64,
     block_size: BlockSize,
@@ -315,7 +314,7 @@ impl SimConfig {
 }
 
 /// Results of one simulated map phase.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimReport {
     /// Map-phase completion time (seconds).
     pub elapsed: f64,

@@ -72,9 +72,7 @@ pub use shuffle::{
     estimate_shuffle, estimate_shuffle_instrumented, estimate_shuffle_topo,
     estimate_shuffle_topo_instrumented, reliable_reducer_placement, ShuffleConfig, ShuffleReport,
 };
-pub use strategy::{
-    AdaptStrategy, MapTaskPlacement, NaiveStrategy, PlacementStrategy, RackAwareStrategy,
-};
+pub use strategy::{AdaptStrategy, NaiveStrategy, PlacementStrategy, RackAwareStrategy};
 pub use telemetry::{
     EngineTelemetry, EngineTelemetrySnapshot, ShuffleTelemetry, ShuffleTelemetrySnapshot,
 };

@@ -38,7 +38,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use adapt_dfs::NodeId;
 use adapt_trace::{Trace, TraceEvent, TraceMeta, TraceRecorder};
@@ -135,7 +134,7 @@ enum Event {
 }
 
 /// Results of one simulated reduce phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReduceReport {
     /// Reduce-phase completion time, seconds (horizon if incomplete).
     pub elapsed: f64,

@@ -33,8 +33,6 @@
 //!
 //! [`run_detailed`]: crate::engine::MapPhaseSim::run_detailed
 
-use serde::{Deserialize, Serialize};
-
 use adapt_dfs::{BlockSize, NodeId};
 use adapt_net::Topology;
 
@@ -54,7 +52,7 @@ fn mb_to_bytes(mb: f64) -> u64 {
 }
 
 /// Shuffle/reduce-phase parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShuffleConfig {
     /// Number of reduce tasks.
     pub reducers: usize,
@@ -107,7 +105,7 @@ impl ShuffleConfig {
 }
 
 /// Estimated shuffle/reduce-phase outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShuffleReport {
     /// Lower-bound elapsed time of shuffle plus reduce (seconds).
     pub elapsed: f64,
@@ -115,7 +113,6 @@ pub struct ShuffleReport {
     pub network_mb: f64,
     /// Of the network megabytes, how many crossed a rack boundary
     /// (always zero under the flat topology).
-    #[serde(default)]
     pub cross_rack_mb: f64,
     /// Megabytes served locally (reducer co-located with the output).
     pub local_mb: f64,

@@ -1,12 +1,10 @@
-//! MapReduce task-placement strategies: one trait for both phases.
+//! Reduce-task placement strategies.
 //!
 //! The DFS layer answers "which node stores this replica?" through
-//! `adapt_dfs::placement::PlacementPolicy`. This module answers the
-//! JobTracker-level question — "which node should *run* this task?" —
-//! split the way simulators like dslab-mr split it: `place_map_tasks`
-//! decides the replica holders each map task may run against, and
-//! `place_reduce_task` picks a host for one reduce task given where the
-//! map outputs landed.
+//! `adapt_dfs::placement::PlacementPolicy`, and that NameNode placement
+//! is also what decides where map tasks run (data locality). This module
+//! answers the remaining JobTracker-level question — "which node should
+//! *run* this reduce task?" — given where the map outputs landed.
 //!
 //! Every strategy here is **deterministic**: decisions are pure functions
 //! of the [`ClusterView`] and the call arguments, with no RNG. That is
@@ -18,50 +16,23 @@
 //!
 //! * [`NaiveStrategy`] — round-robin over alive nodes, availability- and
 //!   rack-blind (the stock-Hadoop baseline).
-//! * [`AdaptStrategy`] — availability-proportional smooth weighted
-//!   round-robin over equation-(5) completion rates, the ADAPT paper's
-//!   placement idea lifted to task scheduling; reducers land on the most
-//!   reliable hosts first.
-//! * [`RackAwareStrategy`] — replica spread across racks (HDFS
-//!   rack-awareness) and reducers pulled toward the rack holding the
+//! * [`AdaptStrategy`] — reducers land on the most reliable hosts first,
+//!   ranked by equation-(5) completion rate, the ADAPT paper's
+//!   availability idea lifted to task scheduling.
+//! * [`RackAwareStrategy`] — reducers pulled toward the rack holding the
 //!   plurality of their shuffle input, minimizing cross-rack bytes over
-//!   the oversubscribed core.
+//!   the oversubscribed core (HDFS rack-awareness).
 
 use adapt_dfs::placement::ClusterView;
 use adapt_dfs::NodeId;
 
 use crate::SimError;
 
-/// One map task's placement: the replica holders it may run against, in
-/// preference order (the engines treat membership as data locality).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MapTaskPlacement {
-    /// The task index the placement belongs to.
-    pub task: usize,
-    /// Replica holders of the task's input block.
-    pub replicas: Vec<NodeId>,
-}
-
-/// A deterministic two-phase task-placement strategy.
+/// A deterministic reduce-task placement strategy.
 pub trait PlacementStrategy: std::fmt::Debug {
     /// Short strategy name used in reports (e.g. `"adapt"`, `"naive"`,
     /// `"rack-aware"`).
     fn name(&self) -> &'static str;
-
-    /// Chooses replica holders for each of `tasks` map inputs, with
-    /// `replication` replicas per block (capped by the alive-node
-    /// count).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] when the view has no alive
-    /// node or `tasks`/`replication` is zero.
-    fn place_map_tasks(
-        &mut self,
-        cluster: &ClusterView,
-        tasks: usize,
-        replication: usize,
-    ) -> Result<Vec<MapTaskPlacement>, SimError>;
 
     /// Picks the host of reduce task `reducer` (of `reducers` total)
     /// given the map-output holders (`holders[t]` lists the nodes
@@ -101,22 +72,6 @@ fn require_alive(cluster: &ClusterView) -> Result<Vec<NodeId>, SimError> {
     Ok(alive)
 }
 
-fn validate_map_args(tasks: usize, replication: usize) -> Result<(), SimError> {
-    if tasks == 0 {
-        return Err(SimError::InvalidConfig {
-            name: "tasks",
-            reason: "at least one map task required".into(),
-        });
-    }
-    if replication == 0 {
-        return Err(SimError::InvalidConfig {
-            name: "replication",
-            reason: "at least one replica required".into(),
-        });
-    }
-    Ok(())
-}
-
 fn validate_reduce_args(reducer: usize, reducers: usize) -> Result<(), SimError> {
     if reducer >= reducers {
         return Err(SimError::InvalidConfig {
@@ -144,23 +99,6 @@ impl PlacementStrategy for NaiveStrategy {
         "naive"
     }
 
-    fn place_map_tasks(
-        &mut self,
-        cluster: &ClusterView,
-        tasks: usize,
-        replication: usize,
-    ) -> Result<Vec<MapTaskPlacement>, SimError> {
-        validate_map_args(tasks, replication)?;
-        let alive = require_alive(cluster)?;
-        let k = replication.min(alive.len());
-        Ok((0..tasks)
-            .map(|task| MapTaskPlacement {
-                task,
-                replicas: (0..k).map(|j| alive[(task + j) % alive.len()]).collect(),
-            })
-            .collect())
-    }
-
     fn place_reduce_task(
         &mut self,
         cluster: &ClusterView,
@@ -174,12 +112,10 @@ impl PlacementStrategy for NaiveStrategy {
     }
 }
 
-/// Availability-proportional placement: each alive node accrues credit
-/// at its equation-(5) completion *rate* (`γ / E[T] ∈ (0, 1]`, so a
-/// reliable host earns 1 per step) and each replica goes to the
-/// highest-credit node — deterministic smooth weighted round-robin, the
-/// ADAPT hash-table idea without the RNG. Reduce tasks land on the most
-/// reliable hosts first.
+/// Availability-ranked placement: alive nodes are ordered by their
+/// equation-(5) completion *rate* (`γ / E[T] ∈ (0, 1]`, 1 for a
+/// reliable host) and reduce tasks land on the most reliable hosts
+/// first, round-robin over that ranking.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptStrategy {
     gamma: f64,
@@ -218,68 +154,19 @@ impl AdaptStrategy {
     /// Alive nodes ordered most-reliable first (rate descending, id
     /// ascending on ties).
     fn by_reliability(&self, cluster: &ClusterView) -> Result<Vec<NodeId>, SimError> {
-        let mut alive = require_alive(cluster)?;
-        alive.sort_by(|&a, &b| {
-            self.rate(cluster, b)
-                .total_cmp(&self.rate(cluster, a))
-                .then(a.0.cmp(&b.0))
-        });
-        Ok(alive)
+        // Equation (5) once per node, not once per comparison.
+        let mut ranked: Vec<(f64, NodeId)> = require_alive(cluster)?
+            .into_iter()
+            .map(|id| (self.rate(cluster, id), id))
+            .collect();
+        ranked.sort_by(|(ra, a), (rb, b)| rb.total_cmp(ra).then(a.0.cmp(&b.0)));
+        Ok(ranked.into_iter().map(|(_, id)| id).collect())
     }
 }
 
 impl PlacementStrategy for AdaptStrategy {
     fn name(&self) -> &'static str {
         "adapt"
-    }
-
-    fn place_map_tasks(
-        &mut self,
-        cluster: &ClusterView,
-        tasks: usize,
-        replication: usize,
-    ) -> Result<Vec<MapTaskPlacement>, SimError> {
-        validate_map_args(tasks, replication)?;
-        let alive = require_alive(cluster)?;
-        let k = replication.min(alive.len());
-        let rates: Vec<f64> = alive.iter().map(|&id| self.rate(cluster, id)).collect();
-        // Degenerate all-unstable cluster: fall back to uniform credit so
-        // the round-robin still terminates with a valid assignment.
-        let uniform = rates.iter().all(|&r| r == 0.0);
-        let mut credit = vec![0.0f64; alive.len()];
-        let mut placements = Vec::with_capacity(tasks);
-        for task in 0..tasks {
-            let mut replicas: Vec<NodeId> = Vec::with_capacity(k);
-            let mut taken = vec![false; alive.len()];
-            for _ in 0..k {
-                for (i, c) in credit.iter_mut().enumerate() {
-                    *c += if uniform { 1.0 } else { rates[i] };
-                }
-                // Highest credit among nodes not yet holding this block;
-                // first (lowest-id) maximum wins, matching the stable
-                // order the oracle pins.
-                let mut best: Option<usize> = None;
-                for i in 0..alive.len() {
-                    if taken[i] {
-                        continue;
-                    }
-                    let better = match best {
-                        None => true,
-                        Some(b) => credit[i] > credit[b],
-                    };
-                    if better {
-                        best = Some(i);
-                    }
-                }
-                if let Some(i) = best {
-                    taken[i] = true;
-                    credit[i] -= 1.0;
-                    replicas.push(alive[i]);
-                }
-            }
-            placements.push(MapTaskPlacement { task, replicas });
-        }
-        Ok(placements)
     }
 
     fn place_reduce_task(
@@ -295,11 +182,9 @@ impl PlacementStrategy for AdaptStrategy {
     }
 }
 
-/// Rack-aware placement in the HDFS mold: map replicas spread across
-/// racks (first replica rotates racks, later replicas continue into the
-/// following racks), and each reduce task runs inside the rack holding
-/// the plurality of its shuffle input — cross-rack bytes over the
-/// oversubscribed core are what this strategy minimizes.
+/// Rack-aware placement in the HDFS mold: each reduce task runs inside
+/// the rack holding the plurality of its shuffle input — cross-rack
+/// bytes over the oversubscribed core are what this strategy minimizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RackAwareStrategy;
 
@@ -321,52 +206,6 @@ impl RackAwareStrategy {
 impl PlacementStrategy for RackAwareStrategy {
     fn name(&self) -> &'static str {
         "rack-aware"
-    }
-
-    fn place_map_tasks(
-        &mut self,
-        cluster: &ClusterView,
-        tasks: usize,
-        replication: usize,
-    ) -> Result<Vec<MapTaskPlacement>, SimError> {
-        validate_map_args(tasks, replication)?;
-        let alive = require_alive(cluster)?;
-        let k = replication.min(alive.len());
-        let racks = Self::alive_racks(cluster, &alive);
-        // Alive nodes of each rack, ascending id (parallel to `racks`).
-        let members: Vec<Vec<NodeId>> = racks
-            .iter()
-            .map(|&r| {
-                alive
-                    .iter()
-                    .copied()
-                    .filter(|&id| cluster.rack_of(id) == r)
-                    .collect()
-            })
-            .collect();
-        // Per-rack rotation so consecutive tasks hitting the same rack
-        // spread over its members.
-        let mut cursor = vec![0usize; racks.len()];
-        let mut placements = Vec::with_capacity(tasks);
-        for task in 0..tasks {
-            let mut replicas: Vec<NodeId> = Vec::with_capacity(k);
-            let mut offset = 0usize;
-            while replicas.len() < k && offset < racks.len() + k {
-                let ri = (task + offset) % racks.len();
-                let rack_nodes = &members[ri];
-                for step in 0..rack_nodes.len() {
-                    let candidate = rack_nodes[(cursor[ri] + step) % rack_nodes.len()];
-                    if !replicas.contains(&candidate) {
-                        cursor[ri] = (cursor[ri] + step + 1) % rack_nodes.len();
-                        replicas.push(candidate);
-                        break;
-                    }
-                }
-                offset += 1;
-            }
-            placements.push(MapTaskPlacement { task, replicas });
-        }
-        Ok(placements)
     }
 
     fn place_reduce_task(
@@ -437,84 +276,94 @@ mod tests {
         )
     }
 
+    /// Hosts of reducers `0..reducers` under `s`, in reducer order.
+    fn reduce_hosts(
+        s: &mut dyn PlacementStrategy,
+        v: &ClusterView,
+        holders: &[Vec<NodeId>],
+        reducers: usize,
+    ) -> Vec<NodeId> {
+        (0..reducers)
+            .map(|r| {
+                s.place_reduce_task(v, holders, r, reducers)
+                    .expect("places")
+            })
+            .collect()
+    }
+
+    fn ids(raw: &[u32]) -> Vec<NodeId> {
+        raw.iter().copied().map(NodeId).collect()
+    }
+
     #[test]
     fn naive_round_robins_and_validates() {
         let v = view(1, 4, &[], &[]);
         let mut s = NaiveStrategy::new();
-        let placements = s.place_map_tasks(&v, 6, 2).expect("places");
-        assert_eq!(placements.len(), 6);
-        assert_eq!(placements[0].replicas, vec![NodeId(0), NodeId(1)]);
-        assert_eq!(placements[5].replicas, vec![NodeId(1), NodeId(2)]);
         assert_eq!(
             s.place_reduce_task(&v, &[], 5, 8).expect("places"),
             NodeId(1)
         );
-        assert!(s.place_map_tasks(&v, 0, 1).is_err());
-        assert!(s.place_map_tasks(&v, 1, 0).is_err());
         assert!(s.place_reduce_task(&v, &[], 3, 3).is_err());
-        let empty = view(1, 2, &[], &[0, 1]);
-        assert!(s.place_map_tasks(&empty, 1, 1).is_err());
     }
 
     #[test]
-    fn naive_skips_dead_nodes() {
-        let v = view(1, 4, &[], &[1]);
-        let mut s = NaiveStrategy::new();
-        let placements = s.place_map_tasks(&v, 3, 1).expect("places");
-        for p in &placements {
-            assert_ne!(p.replicas[0], NodeId(1));
+    fn no_alive_node_is_an_error_for_every_strategy() {
+        let empty = view(2, 4, &[], &[0, 1, 2, 3]);
+        let holders = vec![vec![NodeId(0)], vec![NodeId(1)]];
+        let strategies: [Box<dyn PlacementStrategy>; 3] = [
+            Box::new(NaiveStrategy::new()),
+            Box::new(AdaptStrategy::new(12.0).expect("valid gamma")),
+            Box::new(RackAwareStrategy::new()),
+        ];
+        for mut s in strategies {
+            assert!(
+                matches!(
+                    s.place_reduce_task(&empty, &holders, 0, 1),
+                    Err(SimError::InvalidConfig {
+                        name: "cluster",
+                        ..
+                    })
+                ),
+                "{} placed a reducer on a cluster with no alive node",
+                s.name()
+            );
         }
+    }
+
+    #[test]
+    fn naive_reducers_skip_dead_nodes() {
+        let v = view(1, 4, &[], &[1]);
+        let hosts = reduce_hosts(&mut NaiveStrategy::new(), &v, &[], 6);
+        assert_eq!(hosts, ids(&[0, 2, 3, 0, 2, 3]));
     }
 
     #[test]
     fn adapt_prefers_reliable_hosts() {
-        // Node 1 is volatile; with 2 tasks × 1 replica both land on the
-        // reliable majority first.
+        // Node 1 is volatile: the reliable hosts take the first reducers
+        // (lowest id first), the volatile one comes last.
         let v = view(1, 3, &[1], &[]);
         let mut s = AdaptStrategy::new(12.0).expect("valid gamma");
-        let placements = s.place_map_tasks(&v, 4, 1).expect("places");
-        let on_volatile = placements
-            .iter()
-            .filter(|p| p.replicas.contains(&NodeId(1)))
-            .count();
-        let on_reliable = placements.len() - on_volatile;
-        assert!(
-            on_reliable > on_volatile,
-            "reliable nodes should carry more tasks: {placements:?}"
-        );
-        // Reducer 0 goes to the most reliable host (lowest id among the
-        // reliable ones).
-        assert_eq!(
-            s.place_reduce_task(&v, &[], 0, 2).expect("places"),
-            NodeId(0)
-        );
+        assert_eq!(reduce_hosts(&mut s, &v, &[], 4), ids(&[0, 2, 1, 0]));
         assert!(AdaptStrategy::new(0.0).is_err());
     }
 
     #[test]
-    fn adapt_replicas_are_distinct() {
-        let v = view(1, 4, &[2], &[]);
+    fn adapt_falls_back_to_id_order_when_every_host_is_unstable() {
+        // λμ = 2: every recovery queue is unstable, so every rate is 0.
+        let unstable = NodeAvailability::from_mtbi(10.0, 20.0).expect("valid availability");
+        assert!(unstable.expected_completion(12.0).is_err());
+        let v = ClusterView::new(
+            view(2, 5, &[], &[3])
+                .nodes()
+                .iter()
+                .map(|n| NodeView {
+                    availability: unstable,
+                    ..*n
+                })
+                .collect(),
+        );
         let mut s = AdaptStrategy::new(12.0).expect("valid gamma");
-        for p in s.place_map_tasks(&v, 8, 3).expect("places") {
-            let mut seen = p.replicas.clone();
-            seen.sort();
-            seen.dedup();
-            assert_eq!(seen.len(), p.replicas.len(), "duplicate replica: {p:?}");
-        }
-    }
-
-    #[test]
-    fn rack_aware_spreads_replicas_across_racks() {
-        let v = view(2, 4, &[], &[]);
-        let mut s = RackAwareStrategy::new();
-        for p in s.place_map_tasks(&v, 6, 2).expect("places") {
-            assert_eq!(p.replicas.len(), 2);
-            assert_ne!(
-                v.rack_of(p.replicas[0]),
-                v.rack_of(p.replicas[1]),
-                "replicas share a rack: {p:?}"
-            );
-        }
+        assert_eq!(reduce_hosts(&mut s, &v, &[], 5), ids(&[0, 1, 2, 4, 0]));
     }
 
     #[test]
@@ -544,18 +393,14 @@ mod tests {
         let mut a1 = AdaptStrategy::new(12.0).expect("valid gamma");
         let mut a2 = AdaptStrategy::new(12.0).expect("valid gamma");
         assert_eq!(
-            a1.place_map_tasks(&v, 12, 2).expect("places"),
-            a2.place_map_tasks(&v, 12, 2).expect("places")
+            reduce_hosts(&mut a1, &v, &holders, 12),
+            reduce_hosts(&mut a2, &v, &holders, 12)
         );
         let mut r1 = RackAwareStrategy::new();
         let mut r2 = RackAwareStrategy::new();
         assert_eq!(
-            r1.place_map_tasks(&v, 12, 2).expect("places"),
-            r2.place_map_tasks(&v, 12, 2).expect("places")
-        );
-        assert_eq!(
-            r1.place_reduce_task(&v, &holders, 1, 4).expect("places"),
-            r2.place_reduce_task(&v, &holders, 1, 4).expect("places")
+            reduce_hosts(&mut r1, &v, &holders, 12),
+            reduce_hosts(&mut r2, &v, &holders, 12)
         );
     }
 
@@ -564,6 +409,6 @@ mod tests {
         let v = view(1, 2, &[], &[]);
         let mut s: Box<dyn PlacementStrategy> = Box::new(NaiveStrategy::new());
         assert_eq!(s.name(), "naive");
-        assert!(s.place_map_tasks(&v, 1, 1).is_ok());
+        assert!(s.place_reduce_task(&v, &[], 0, 1).is_ok());
     }
 }

@@ -23,14 +23,18 @@
 
 use std::collections::BTreeMap;
 
-use bytes::{BufMut, Bytes, BytesMut};
-
 use crate::record::{HostId, HostTrace, Interruption, Trace};
 use crate::TraceError;
 
 /// Serializes a trace to the text format.
 ///
 /// Host events are emitted grouped by host id in ascending order.
+///
+/// # Errors
+///
+/// Returns [`TraceError::InvalidRecord`] for a trace the format cannot
+/// carry losslessly: two hosts sharing an id, or hosts whose observation
+/// windows differ (the format has a single `#window` directive).
 ///
 /// # Examples
 ///
@@ -44,30 +48,50 @@ use crate::TraceError;
 ///     100.0,
 ///     vec![Interruption { start: 10.0, duration: 5.0 }],
 /// )?]);
-/// let text = fta::write(&trace);
+/// let text = fta::write(&trace)?;
 /// let parsed = fta::parse(std::str::from_utf8(&text).unwrap())?;
 /// assert_eq!(parsed, trace);
 /// # Ok(())
 /// # }
 /// ```
-pub fn write(trace: &Trace) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + trace.event_count() * 32);
-    buf.put_slice(b"# adapt-fta v1\n");
+pub fn write(trace: &Trace) -> Result<Vec<u8>, TraceError> {
     let window = trace.hosts().first().map(|h| h.window()).unwrap_or(0.0);
-    buf.put_slice(format!("#window {window}\n").as_bytes());
     let mut hosts: Vec<&HostTrace> = trace.iter().collect();
     hosts.sort_by_key(|h| h.host());
+    for (i, host) in hosts.iter().enumerate() {
+        if host.window().to_bits() != window.to_bits() {
+            return Err(TraceError::InvalidRecord {
+                host: host.host().0,
+                reason: format!(
+                    "observation window {} differs from the trace window {window}",
+                    host.window()
+                ),
+            });
+        }
+        if i > 0 && hosts[i - 1].host() == host.host() {
+            return Err(TraceError::InvalidRecord {
+                host: host.host().0,
+                reason: "host id appears more than once in the trace".into(),
+            });
+        }
+    }
+
+    let mut buf = Vec::with_capacity(64 + trace.event_count() * 32);
+    buf.extend_from_slice(b"# adapt-fta v1\n");
+    buf.extend_from_slice(format!("#window {window}\n").as_bytes());
     for host in hosts {
         for ev in host.interruptions() {
-            buf.put_slice(format!("{}\t{}\t{}\n", host.host().0, ev.start, ev.end()).as_bytes());
+            buf.extend_from_slice(
+                format!("{}\t{}\t{}\n", host.host().0, ev.start, ev.end()).as_bytes(),
+            );
         }
         if host.interruptions().is_empty() {
             // Preserve event-free hosts with an explicit directive so the
             // round-trip is lossless.
-            buf.put_slice(format!("#host {}\n", host.host().0).as_bytes());
+            buf.extend_from_slice(format!("#host {}\n", host.host().0).as_bytes());
         }
     }
-    buf.freeze()
+    Ok(buf)
 }
 
 /// Parses the text format back into a [`Trace`].
@@ -176,9 +200,46 @@ mod tests {
             HostTrace::new(HostId(3), 1_000.0, vec![ev(500.0, 1.5)]).unwrap(),
             HostTrace::new(HostId(7), 1_000.0, vec![]).unwrap(),
         ]);
-        let text = write(&trace);
+        let text = write(&trace).unwrap();
         let parsed = parse(std::str::from_utf8(&text).unwrap()).unwrap();
         assert_eq!(parsed, trace);
+    }
+
+    #[test]
+    fn write_output_is_pinned() {
+        let trace = Trace::new(vec![
+            HostTrace::new(HostId(0), 1_000.0, vec![ev(10.0, 5.0), ev(100.0, 25.0)]).unwrap(),
+            HostTrace::new(HostId(3), 1_000.0, vec![ev(500.0, 1.5)]).unwrap(),
+            HostTrace::new(HostId(7), 1_000.0, vec![]).unwrap(),
+        ]);
+        assert_eq!(
+            std::str::from_utf8(&write(&trace).unwrap()).unwrap(),
+            "# adapt-fta v1\n#window 1000\n0\t10\t15\n0\t100\t125\n3\t500\t501.5\n#host 7\n"
+        );
+    }
+
+    #[test]
+    fn write_rejects_mixed_windows() {
+        let trace = Trace::new(vec![
+            HostTrace::new(HostId(0), 100.0, vec![ev(10.0, 5.0)]).unwrap(),
+            HostTrace::new(HostId(1), 1_000.0, vec![ev(500.0, 10.0)]).unwrap(),
+        ]);
+        assert!(matches!(
+            write(&trace),
+            Err(TraceError::InvalidRecord { host: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn write_rejects_duplicate_host_ids() {
+        let trace = Trace::new(vec![
+            HostTrace::new(HostId(0), 100.0, vec![ev(10.0, 5.0)]).unwrap(),
+            HostTrace::new(HostId(0), 100.0, vec![ev(50.0, 5.0)]).unwrap(),
+        ]);
+        assert!(matches!(
+            write(&trace),
+            Err(TraceError::InvalidRecord { host: 0, .. })
+        ));
     }
 
     #[test]
@@ -216,7 +277,7 @@ mod tests {
     #[test]
     fn empty_trace_round_trips() {
         let trace = Trace::default();
-        let text = write(&trace);
+        let text = write(&trace).unwrap();
         let parsed = parse(std::str::from_utf8(&text).unwrap()).unwrap();
         assert_eq!(parsed.len(), 0);
     }
@@ -228,7 +289,7 @@ mod tests {
             .hosts(50)
             .generate(13)
             .unwrap();
-        let text = write(&trace);
+        let text = write(&trace).unwrap();
         let parsed = parse(std::str::from_utf8(&text).unwrap()).unwrap();
         assert_eq!(parsed.len(), trace.len());
         assert_eq!(parsed.event_count(), trace.event_count());
@@ -258,7 +319,7 @@ mod tests {
                 hosts.push(HostTrace::new(HostId(id), window, evs).unwrap());
             }
             let trace = Trace::new(hosts);
-            let text = write(&trace);
+            let text = write(&trace).unwrap();
             let parsed = parse(std::str::from_utf8(&text).unwrap()).unwrap();
             // Order is normalized by host id on write; compare as maps.
             prop_assert_eq!(parsed.len(), trace.len());

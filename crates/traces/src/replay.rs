@@ -11,7 +11,6 @@
 //! replaying its first hours.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::record::{HostTrace, Interruption};
 
@@ -35,7 +34,7 @@ use crate::record::{HostTrace, Interruption};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct InterruptionSchedule {
     events: Vec<Interruption>,
     horizon: f64,

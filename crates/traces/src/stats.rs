@@ -7,14 +7,12 @@
 //! from any [`Trace`], and [`TraceSummary::to_table`] renders it in the
 //! paper's row format.
 
-use serde::{Deserialize, Serialize};
-
 use adapt_availability::Moments;
 
 use crate::record::Trace;
 
 /// Pooled population statistics of a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TraceSummary {
     /// Pooled inter-arrival times between interruption starts.
     pub mtbi: Moments,

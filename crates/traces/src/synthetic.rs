@@ -31,7 +31,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use adapt_availability::dist::{LogNormal, Sample};
 
@@ -101,7 +100,7 @@ pub fn calibrate_hyper(pooled_mean: f64, pooled_cov: f64) -> Result<(f64, f64), 
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticPopulation {
     hosts: usize,
     window: f64,
