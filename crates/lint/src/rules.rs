@@ -99,10 +99,11 @@ pub const NUMERIC_CRATES: [&str; 2] = ["availability", "core"];
 
 /// Workspace-owned event/error/policy enums whose `match`es must stay
 /// exhaustive (the exhaustiveness family's scope). Sorted.
-pub const OWNED_ENUMS: [&str; 6] = [
+pub const OWNED_ENUMS: [&str; 7] = [
+    "ClusterEvent",
     "KillCause",
-    "KillReason",
     "PolicyKind",
+    "ReducerPhase",
     "SchedPolicy",
     "SimError",
     "TraceEvent",

@@ -36,15 +36,12 @@
 
 use adapt_ds::{IdSet, SortedVecSet};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use adapt_dfs::{BlockSize, NodeId};
 use adapt_metrics::{MetricsHub, MetricsRegistry, WorkCounts};
 use adapt_net::Topology;
-use adapt_trace::{KillCause, Trace, TraceEvent, TraceMeta, TraceRecorder};
+use adapt_trace::{KillCause, Trace, TraceEvent, TraceRecorder};
 
-use crate::event::EventQueue;
+use crate::cluster::{self, Cluster, ClusterEvent};
 use crate::interrupt::InterruptionProcess;
 use crate::telemetry::{EngineTelemetry, EngineTelemetrySnapshot};
 use crate::SimError;
@@ -389,21 +386,9 @@ const STRAGGLER_SLOWDOWN: f64 = 1.2;
 /// slowdown) than the straggler's host.
 const STRAGGLER_ADVANTAGE: f64 = 1.5;
 
-/// Derives a per-node RNG seed from the run seed (splitmix64 finalizer —
-/// adjacent node ids decorrelate fully).
-pub(crate) fn mix_seed(seed: u64, node: u64) -> u64 {
-    let mut z = seed ^ node.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
+/// The map phase's own events on the cluster clock.
 #[derive(Debug, Clone, Copy)]
-enum Event {
-    /// Initial dispatch of every node, after time-zero outages apply.
-    Kick,
-    Down(u32),
-    Up(u32),
+enum MapEvent {
     AttemptDone {
         node: u32,
         epoch: u64,
@@ -413,16 +398,14 @@ enum Event {
     Requeue(usize),
 }
 
-impl Event {
-    /// Profiler span name for this event family.
-    fn kind_name(&self) -> &'static str {
-        match self {
-            Event::Kick => "kick",
-            Event::Down(_) => "down",
-            Event::Up(_) => "up",
-            Event::AttemptDone { .. } => "attempt_done",
-            Event::Requeue(_) => "requeue",
-        }
+/// Profiler span name for an event family.
+fn kind_name(event: &ClusterEvent<MapEvent>) -> &'static str {
+    match event {
+        ClusterEvent::Kick => "kick",
+        ClusterEvent::Down(_) => "down",
+        ClusterEvent::Up(_) => "up",
+        ClusterEvent::Phase(MapEvent::AttemptDone { .. }) => "attempt_done",
+        ClusterEvent::Phase(MapEvent::Requeue(_)) => "requeue",
     }
 }
 
@@ -443,43 +426,17 @@ struct Attempt {
     source: Option<u32>,
 }
 
-/// An in-flight outbound transfer served by a node, so the fetches can be
-/// failed if the source dies mid-transfer.
-#[derive(Debug, Clone, Copy)]
-struct Outbound {
-    dest: u32,
-    dest_seq: u64,
-    end: f64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KillReason {
-    Interruption,
-    DuplicateLost,
-    /// The block fetch failed because the source host died mid-transfer;
-    /// the fetcher notices immediately (no detection delay).
-    SourceLost,
-}
-
+/// A node's map-phase state; its host state and outbound flows live in
+/// the [`Cluster`].
 #[derive(Debug)]
 struct NodeState {
-    process: InterruptionProcess,
-    up: bool,
     epoch: u64,
     running: Option<Attempt>,
     local_pending: SortedVecSet,
-    /// End times of in-flight outbound block transfers served by this
-    /// node (per-flow shaped; capacity bounded by `max_source_streams`).
-    serving: Vec<f64>,
-    /// The fetchers currently reading from this node, so their attempts
-    /// can be failed if this node dies mid-transfer.
-    outbound: Vec<Outbound>,
-    /// Monotone per-node attempt counter (identifies which attempt an
-    /// outbound record refers to).
+    /// Monotone per-node attempt counter (the tag of the flows this
+    /// node's fetches commit, so a dying source can tell which attempt
+    /// a flow belongs to).
     attempt_seq: u64,
-    pending_up_at: f64,
-    down_since: Option<f64>,
-    downtime: f64,
     busy: f64,
     recovery_mark: Option<f64>,
     recovery: f64,
@@ -502,12 +459,12 @@ struct TaskState {
 #[derive(Debug)]
 pub struct MapPhaseSim {
     cfg: SimConfig,
+    cluster: Cluster<MapEvent>,
     nodes: Vec<NodeState>,
     /// Per-node expected slowdown E[T]/γ from equation (5) — the
     /// JobTracker's availability-aware view used by speculation ETAs.
     slowdown: Vec<f64>,
     tasks: Vec<TaskState>,
-    queue: EventQueue<Event>,
     pending: IdSet,
     stealable: IdSet,
     /// Running tasks worth considering for speculation: a copy runs on a
@@ -531,11 +488,6 @@ pub struct MapPhaseSim {
     transfers: usize,
     local_completions: usize,
     telemetry: EngineTelemetry,
-    /// Event recorder, present only when tracing was requested. Every
-    /// emission site is guarded by this `Option`, so an untraced run
-    /// does no trace work at all (the zero-overhead-when-disabled
-    /// contract the CI telemetry baseline relies on).
-    trace: Option<TraceRecorder>,
 }
 
 impl MapPhaseSim {
@@ -553,19 +505,17 @@ impl MapPhaseSim {
         placement: Vec<Vec<NodeId>>,
         cfg: SimConfig,
     ) -> Result<Self, SimError> {
-        if processes.is_empty() {
-            return Err(SimError::InvalidConfig {
-                name: "processes",
-                reason: "cluster must have at least one node".into(),
-            });
-        }
+        // Queue high-water mark is bounded by one outage pair plus one
+        // attempt per node (plus slack for requeues in flight), so
+        // preallocating ~2n avoids every mid-run heap growth.
+        let cluster = Cluster::new(processes, &cfg, 16)?;
         if placement.is_empty() {
             return Err(SimError::InvalidConfig {
                 name: "placement",
                 reason: "job must have at least one task".into(),
             });
         }
-        let n = processes.len();
+        let n = cluster.len();
         let mut tasks = Vec::with_capacity(placement.len());
         for (i, replicas) in placement.iter().enumerate() {
             if replicas.is_empty() {
@@ -574,26 +524,19 @@ impl MapPhaseSim {
                     reason: format!("task {i} has no replicas"),
                 });
             }
-            for r in replicas {
-                if r.0 as usize >= n {
-                    return Err(SimError::PlacementOutOfRange {
-                        task: i,
-                        node: r.0,
-                        nodes: n,
-                    });
-                }
-            }
             tasks.push(TaskState {
-                replicas: replicas.iter().map(|r| r.0).collect(),
+                replicas: replicas
+                    .iter()
+                    .map(|&r| cluster::node_id(i, r, n))
+                    .collect::<Result<_, _>>()?,
                 done: false,
                 running_on: Vec::new(),
                 winner: None,
             });
         }
 
-        let slowdown: Vec<f64> = processes
-            .iter()
-            .map(|p| match p.mean_params() {
+        let slowdown: Vec<f64> = (0..n)
+            .map(|i| match cluster.process(i).mean_params() {
                 None => 1.0,
                 Some((lambda, mu)) => {
                     match adapt_availability::TaskModel::new(
@@ -609,20 +552,12 @@ impl MapPhaseSim {
             })
             .collect();
 
-        let mut nodes: Vec<NodeState> = processes
-            .into_iter()
-            .map(|process| NodeState {
-                process,
-                up: true,
+        let mut nodes: Vec<NodeState> = (0..n)
+            .map(|_| NodeState {
                 epoch: 0,
                 running: None,
                 local_pending: SortedVecSet::new(),
-                serving: Vec::new(),
-                outbound: Vec::new(),
                 attempt_seq: 0,
-                pending_up_at: 0.0,
-                down_since: None,
-                downtime: 0.0,
                 busy: 0.0,
                 recovery_mark: None,
                 recovery: 0.0,
@@ -640,17 +575,13 @@ impl MapPhaseSim {
         }
         let stealable = pending.clone(); // everyone starts up
 
-        // Queue high-water mark is bounded by one outage pair plus one
-        // attempt per node (plus slack for requeues in flight), so
-        // preallocating ~2n avoids every mid-run heap growth.
-        let queue = EventQueue::with_capacity(n * 2 + 16);
         let spec_candidates = IdSet::new(tasks.len());
         Ok(MapPhaseSim {
             cfg,
+            cluster,
             nodes,
             slowdown,
             tasks,
-            queue,
             pending,
             stealable,
             spec_candidates,
@@ -664,7 +595,6 @@ impl MapPhaseSim {
             transfers: 0,
             local_completions: 0,
             telemetry: EngineTelemetry::default(),
-            trace: None,
         })
     }
 
@@ -676,23 +606,15 @@ impl MapPhaseSim {
     /// covers the whole pipeline. Simulation behavior and reported
     /// metrics are byte-identical with or without tracing.
     pub fn with_trace(mut self, recorder: TraceRecorder) -> Self {
-        self.trace = Some(recorder);
+        self.cluster.set_trace(recorder);
         self
-    }
-
-    /// Appends a trace event if tracing is enabled.
-    #[inline]
-    fn emit(&mut self, event: TraceEvent) {
-        if let Some(recorder) = self.trace.as_mut() {
-            recorder.record(event);
-        }
     }
 
     /// Emits the resolution of a remote attempt's block transfer: `Done`
     /// when the transfer window closed before `t`, `Aborted` when the
     /// kill (or horizon) cut it mid-flight.
     fn emit_transfer_end(&mut self, n: u32, attempt: &Attempt, t: f64) {
-        if self.trace.is_none() || attempt.local {
+        if !self.cluster.tracing() || attempt.local {
             return;
         }
         let Some(source) = attempt.source else {
@@ -701,7 +623,7 @@ impl MapPhaseSim {
         let (task, seq) = (attempt.task as u32, attempt.seq);
         let (start, end) = (attempt.reserve_start, attempt.compute_start);
         if end <= t {
-            self.emit(TraceEvent::TransferDone {
+            self.cluster.emit(TraceEvent::TransferDone {
                 source,
                 dest: n,
                 task,
@@ -710,7 +632,7 @@ impl MapPhaseSim {
                 end,
             });
         } else {
-            self.emit(TraceEvent::TransferAborted {
+            self.cluster.emit(TraceEvent::TransferAborted {
                 source,
                 dest: n,
                 task,
@@ -766,48 +688,19 @@ impl MapPhaseSim {
         seed: u64,
         mut metrics: Option<&mut MetricsHub>,
     ) -> Result<DetailedReport, SimError> {
-        // Per-node RNG streams: each node's interruption randomness is a
-        // pure function of (seed, node id), independent of scheduling
-        // order. Two runs over the same cluster and seed but different
-        // placements therefore see identical failure realizations —
-        // paired comparisons across policies, like the paper's
-        // same-trace methodology.
-        let mut rngs: Vec<StdRng> = (0..self.nodes.len())
-            .map(|i| StdRng::seed_from_u64(mix_seed(seed, i as u64)))
-            .collect();
-
-        // Schedule each node's first outage, then the initial dispatch.
-        for (i, rng) in rngs.iter_mut().enumerate() {
-            if let Some(outage) = self.nodes[i].process.next_outage(0.0, rng) {
-                self.nodes[i].pending_up_at = outage.up_at;
-                self.queue.push(outage.down_at, Event::Down(i as u32));
-            }
-        }
-        self.queue.push(0.0, Event::Kick);
-
+        self.cluster.start(seed);
         let mut elapsed = None;
-        let mut last_event_time = 0.0f64;
         loop {
             // The queue is longest right before a dispatch (pushes happen
             // inside handlers; nothing pops in between), so sampling here
             // observes every high-water mark.
             self.telemetry
                 .queue_depth_hwm
-                .record(self.queue.len() as u64);
-            let Some((t, event)) = self.queue.pop() else {
+                .record(self.cluster.queue_len() as u64);
+            let prev_event_time = self.cluster.now();
+            let Some((t, event)) = self.cluster.pop() else {
                 break;
             };
-            // Event-ordering invariant: the queue must release events in
-            // non-decreasing time, or causality (and determinism) breaks.
-            debug_assert!(
-                t >= last_event_time,
-                "event queue released t={t} after t={last_event_time}"
-            );
-            let prev_event_time = last_event_time;
-            last_event_time = t;
-            if t > self.cfg.horizon {
-                break;
-            }
             // Metrics scrape precedes the event: a cadence boundary in
             // the gap (prev, t] samples the state that actually held
             // across that gap.
@@ -817,27 +710,27 @@ impl MapPhaseSim {
                     self.scrape_engine_gauges(&mut hub.registry);
                     hub.registry.advance(t_us);
                 }
-                hub.profiler.enter(event.kind_name());
-                self.queue.len()
+                hub.profiler.enter(kind_name(&event));
+                self.cluster.queue_len()
             } else {
                 0
             };
             match event {
-                Event::Kick => {
+                ClusterEvent::Kick => {
                     self.telemetry.events_kick.incr();
                     for i in 0..self.nodes.len() as u32 {
                         self.try_assign(i, t)?;
                     }
                 }
-                Event::Down(n) => {
+                ClusterEvent::Down(n) => {
                     self.telemetry.events_down.incr();
                     self.on_down(n, t)?;
                 }
-                Event::Up(n) => {
+                ClusterEvent::Up(n) => {
                     self.telemetry.events_up.incr();
-                    self.on_up(n, t, &mut rngs[n as usize])?;
+                    self.on_up(n, t)?;
                 }
-                Event::AttemptDone { node, epoch } => {
+                ClusterEvent::Phase(MapEvent::AttemptDone { node, epoch }) => {
                     self.telemetry.events_attempt_done.incr();
                     if self.nodes[node as usize].epoch == epoch {
                         self.on_attempt_done(node, t)?;
@@ -846,7 +739,7 @@ impl MapPhaseSim {
                         }
                     }
                 }
-                Event::Requeue(task) => {
+                ClusterEvent::Phase(MapEvent::Requeue(task)) => {
                     self.telemetry.events_requeue.incr();
                     self.requeue(task, t);
                     self.dispatch_idle(t, &[task])?;
@@ -855,7 +748,7 @@ impl MapPhaseSim {
             if let Some(hub) = metrics.as_deref_mut() {
                 // Handler heap traffic: one pop plus however many pushes
                 // grew the queue (len_after = len_before − 1 + pushes).
-                let pushes = (self.queue.len() + 1).saturating_sub(queue_len_before) as u64;
+                let pushes = (self.cluster.queue_len() + 1).saturating_sub(queue_len_before) as u64;
                 hub.profiler.add(WorkCounts {
                     events: 1,
                     heap_ops: pushes + 1,
@@ -884,16 +777,13 @@ impl MapPhaseSim {
     /// called when a metrics hub is attached *and* a cadence boundary
     /// passed, so disabled runs never touch a registry map.
     fn scrape_engine_gauges(&self, registry: &mut MetricsRegistry) {
-        registry.set_gauge("engine.queue_depth", self.queue.len());
+        registry.set_gauge("engine.queue_depth", self.cluster.queue_len());
         registry.set_gauge("engine.pending_tasks", self.pending.len());
         registry.set_gauge("engine.stealable_tasks", self.stealable.len());
         registry.set_gauge("engine.spec_candidates", self.spec_candidates.len());
         registry.set_gauge("engine.idle_nodes", self.idle.len());
         registry.set_gauge("engine.done_tasks", self.done_count);
-        registry.set_gauge(
-            "engine.up_nodes",
-            self.nodes.iter().filter(|n| n.up).count(),
-        );
+        registry.set_gauge("engine.up_nodes", self.cluster.up_count());
         registry.set_gauge(
             "engine.running_attempts",
             self.nodes.iter().filter(|n| n.running.is_some()).count(),
@@ -912,7 +802,7 @@ impl MapPhaseSim {
     /// Attempts to hand the node a task; returns whether one was started.
     fn try_assign(&mut self, n: u32, t: f64) -> Result<bool, SimError> {
         let ni = n as usize;
-        if !self.nodes[ni].up || self.nodes[ni].running.is_some() {
+        if !self.cluster.is_up(n) || self.nodes[ni].running.is_some() {
             return Ok(false);
         }
         // 1. Local pending work.
@@ -1012,7 +902,7 @@ impl MapPhaseSim {
             });
             if let Some(task) = candidate {
                 self.telemetry.speculative_attempts.incr();
-                self.emit(TraceEvent::SpeculativeLaunched {
+                self.cluster.emit(TraceEvent::SpeculativeLaunched {
                     node: n,
                     task: task as u32,
                     t,
@@ -1025,57 +915,29 @@ impl MapPhaseSim {
         Ok(false)
     }
 
-    /// Number of outbound transfers node `r` is serving at time `t`.
-    fn active_streams(&self, r: u32, t: f64) -> usize {
-        self.nodes[r as usize]
-            .serving
-            .iter()
-            .filter(|&&end| end > t)
-            .count()
-    }
-
-    /// Cross-rack outbound flows active on `rack`'s uplink at `t`.
-    /// Lazy scan over the rack's members (`rack_of` is `node % racks`,
-    /// so they sit at stride `racks`); entries whose window already
-    /// closed are skipped by the `end > t` filter and pruned whenever
-    /// their source commits its next transfer.
-    fn cross_rack_streams(&self, rack: u32, t: f64) -> usize {
-        let topo = self.cfg.topology;
-        let mut count = 0;
-        let mut ni = rack as usize;
-        while ni < self.nodes.len() {
-            count += self.nodes[ni]
-                .outbound
-                .iter()
-                .filter(|o| o.end > t && topo.rack_of(o.dest) != rack)
-                .count();
-            ni += topo.racks() as usize;
-        }
-        count
-    }
-
-    /// The least-loaded alive replica of `task` with a spare outbound
-    /// stream, or `None` if every alive source is saturated (or down).
-    /// (Completed-transfer entries are ignored by the count and pruned
-    /// when the next transfer starts on the node.)
-    fn admissible_source(&self, task: usize, t: f64) -> Option<u32> {
-        // Single pass, counting each replica's streams once. Ties keep
-        // the *last* minimal replica — `Iterator::min_by_key` semantics,
-        // which the deterministic baselines were recorded under.
+    /// The least-loaded alive replica of `task` serving fewer than `cap`
+    /// outbound streams at `t`, or `None` if every alive replica is at the
+    /// cap (or down). Ties keep the *last* minimal replica —
+    /// `Iterator::min_by_key` semantics, which the deterministic
+    /// baselines were recorded under.
+    fn least_loaded_source(&self, task: usize, t: f64, cap: usize) -> Option<u32> {
         let mut best: Option<(usize, u32)> = None;
         for &r in &self.tasks[task].replicas {
-            if !self.nodes[r as usize].up {
+            if !self.cluster.is_up(r) {
                 continue;
             }
-            let streams = self.active_streams(r, t);
-            if streams >= self.cfg.max_source_streams {
-                continue;
-            }
-            if best.is_none_or(|(s, _)| streams <= s) {
+            let streams = self.cluster.open_flows(r, t).count();
+            if streams < cap && best.is_none_or(|(s, _)| streams <= s) {
                 best = Some((streams, r));
             }
         }
         best.map(|(_, r)| r)
+    }
+
+    /// A replica of `task` with a spare outbound stream (the admission
+    /// bound), least loaded first.
+    fn admissible_source(&self, task: usize, t: f64) -> Option<u32> {
+        self.least_loaded_source(task, t, self.cfg.max_source_streams)
     }
 
     /// Estimated completion time of a fresh attempt of `task` on `n` at
@@ -1088,13 +950,9 @@ impl MapPhaseSim {
         if state.replicas.contains(&n) {
             return Some(t + self.cfg.gamma);
         }
-        let has_source = state.replicas.iter().any(|&r| {
-            self.nodes[r as usize].up && self.active_streams(r, t) < self.cfg.max_source_streams
-        });
-        if !has_source {
-            return None;
-        }
-        Some(t + self.cfg.transfer_seconds() + self.cfg.gamma)
+        // A fetch needs an alive replica with a spare outbound stream.
+        self.admissible_source(task, t)
+            .map(|_| t + self.cfg.transfer_seconds() + self.cfg.gamma)
     }
 
     /// Starts one attempt of `task` on node `n` at time `t`.
@@ -1106,7 +964,7 @@ impl MapPhaseSim {
     /// signals an engine bug rather than a reachable state.
     fn start_task(&mut self, n: u32, task: usize, t: f64) -> Result<(), SimError> {
         let ni = n as usize;
-        debug_assert!(self.nodes[ni].up && self.nodes[ni].running.is_none());
+        debug_assert!(self.cluster.is_up(n) && self.nodes[ni].running.is_none());
         self.attempts += 1;
         self.telemetry.attempts_started.incr();
         self.idle.remove(ni);
@@ -1123,74 +981,32 @@ impl MapPhaseSim {
             // an ETA guard instead of the admission check).
             let source = self
                 .admissible_source(task, t)
-                .or_else(|| {
-                    // Least-loaded alive replica, admission bound waived;
-                    // `<=` keeps `min_by_key`'s last-wins tie order.
-                    let mut best: Option<(usize, u32)> = None;
-                    for &r in &self.tasks[task].replicas {
-                        if !self.nodes[r as usize].up {
-                            continue;
-                        }
-                        let streams = self.active_streams(r, t);
-                        if best.is_none_or(|(s, _)| streams <= s) {
-                            best = Some((streams, r));
-                        }
-                    }
-                    best.map(|(_, r)| r)
-                })
+                .or_else(|| self.least_loaded_source(task, t, usize::MAX))
                 .ok_or(SimError::InvariantViolation {
                     what: "remote attempt started without an alive source replica",
                 })?;
-            // Cross-rack fetches pay the oversubscribed uplink,
-            // fair-shared over the cross-rack flows active right now
-            // (committed at start, like the flat window always was).
-            // Intra-rack fetches keep the flat time *bit-identically* —
-            // `fair_share_seconds` returns the base unchanged.
-            let cross_rack = !self.cfg.topology.same_rack(source, n);
-            let streams = if cross_rack {
-                self.cross_rack_streams(self.cfg.topology.rack_of(source), t) + 1
-            } else {
-                1
-            };
-            let end = t + self.cfg.topology.fair_share_seconds(
-                self.cfg.transfer_seconds(),
-                source,
-                n,
-                streams,
-            );
-            let src = &mut self.nodes[source as usize];
-            src.serving.retain(|&e| e > t);
-            src.serving.push(end);
-            src.outbound.retain(|o| o.end > t);
-            src.outbound.push(Outbound {
-                dest: n,
-                dest_seq: seq,
-                end,
-            });
+            // Committed at start: the window is fixed now (fair-shared
+            // over the cross-rack flows active on the source's uplink).
+            let (end, uplink) =
+                self.cluster
+                    .commit_flow(source, n, seq, self.cfg.transfer_seconds(), t);
             self.transfers += 1;
             self.telemetry.transfers_started.incr();
             self.telemetry
                 .transfer_bytes
                 .record(self.cfg.block_size.bytes());
-            if cross_rack {
+            if let Some(streams) = uplink {
                 self.telemetry.transfers_cross_rack.incr();
                 self.telemetry.link_streams_hwm.record(streams as u64);
-                if streams > 1 {
-                    self.emit(TraceEvent::LinkContention {
-                        rack: self.cfg.topology.rack_of(source),
-                        streams: streams as u32,
-                        t,
-                    });
-                }
             }
             transfer_source = Some(source);
             end
         };
 
-        if self.trace.is_some() {
+        if self.cluster.tracing() {
             if let Some(source) = transfer_source {
                 let bytes = self.cfg.block_size.bytes();
-                self.emit(TraceEvent::TransferStarted {
+                self.cluster.emit(TraceEvent::TransferStarted {
                     source,
                     dest: n,
                     task: task as u32,
@@ -1200,7 +1016,7 @@ impl MapPhaseSim {
                     end: compute_start,
                 });
             }
-            self.emit(TraceEvent::AttemptStarted {
+            self.cluster.emit(TraceEvent::AttemptStarted {
                 node: n,
                 task: task as u32,
                 attempt: seq,
@@ -1220,9 +1036,9 @@ impl MapPhaseSim {
             source: transfer_source,
         });
         let epoch = self.nodes[ni].epoch;
-        self.queue.push(
+        self.cluster.schedule(
             compute_start + self.cfg.gamma,
-            Event::AttemptDone { node: n, epoch },
+            MapEvent::AttemptDone { node: n, epoch },
         );
 
         // The task is no longer pending anywhere.
@@ -1271,9 +1087,9 @@ impl MapPhaseSim {
         } else {
             self.migration += attempt.compute_start - attempt.reserve_start;
         }
-        if self.trace.is_some() {
+        if self.cluster.tracing() {
             self.emit_transfer_end(n, &attempt, t);
-            self.emit(TraceEvent::AttemptWon {
+            self.cluster.emit(TraceEvent::AttemptWon {
                 node: n,
                 task: task as u32,
                 attempt: attempt.seq,
@@ -1296,7 +1112,7 @@ impl MapPhaseSim {
             self.telemetry.speculative_wins.incr();
         }
         for loser in losers {
-            self.kill_attempt(loser, t, KillReason::DuplicateLost);
+            self.kill_attempt(loser, t, KillCause::DuplicateLost);
             self.try_assign(loser, t)?;
         }
         self.try_assign(n, t)?;
@@ -1306,7 +1122,7 @@ impl MapPhaseSim {
     }
 
     /// Kills the node's running attempt (if any), accounting the loss.
-    fn kill_attempt(&mut self, n: u32, t: f64, reason: KillReason) {
+    fn kill_attempt(&mut self, n: u32, t: f64, reason: KillCause) {
         let ni = n as usize;
         let Some(attempt) = self.nodes[ni].running.take() else {
             return;
@@ -1317,16 +1133,16 @@ impl MapPhaseSim {
 
         let compute_lost = (t - attempt.compute_start).clamp(0.0, self.cfg.gamma);
         match reason {
-            KillReason::Interruption => {
+            KillCause::Interruption => {
                 self.rework += compute_lost;
                 self.telemetry.kills_interruption.incr();
             }
             // A killed fetch has no compute to lose; both bucket to misc.
-            KillReason::DuplicateLost => {
+            KillCause::DuplicateLost => {
                 self.dup_compute += compute_lost;
                 self.telemetry.speculative_losses.incr();
             }
-            KillReason::SourceLost => {
+            KillCause::SourceLost => {
                 self.dup_compute += compute_lost;
                 self.telemetry.kills_source_lost.incr();
             }
@@ -1335,14 +1151,9 @@ impl MapPhaseSim {
             // The transfer window was committed on both links either way.
             self.migration += attempt.compute_start - attempt.reserve_start;
         }
-        if self.trace.is_some() {
+        if self.cluster.tracing() {
             self.emit_transfer_end(n, &attempt, t);
-            let cause = match reason {
-                KillReason::Interruption => KillCause::Interruption,
-                KillReason::DuplicateLost => KillCause::DuplicateLost,
-                KillReason::SourceLost => KillCause::SourceLost,
-            };
-            self.emit(TraceEvent::AttemptKilled {
+            self.cluster.emit(TraceEvent::AttemptKilled {
                 node: n,
                 task: attempt.task as u32,
                 attempt: attempt.seq,
@@ -1350,7 +1161,7 @@ impl MapPhaseSim {
                 start: attempt.reserve_start,
                 compute_start: attempt.compute_start,
                 end: t,
-                reason: cause,
+                reason,
             });
         }
 
@@ -1358,11 +1169,11 @@ impl MapPhaseSim {
         self.tasks[task].running_on.retain(|&r| r != n);
         if !self.tasks[task].done && self.tasks[task].running_on.is_empty() {
             self.spec_candidates.remove(task);
-            if reason == KillReason::Interruption && self.cfg.detection_delay > 0.0 {
+            if reason == KillCause::Interruption && self.cfg.detection_delay > 0.0 {
                 // The JobTracker has not noticed yet; the task re-enters
                 // the pending pool only after the heartbeat timeout.
-                self.queue
-                    .push(t + self.cfg.detection_delay, Event::Requeue(task));
+                self.cluster
+                    .schedule(t + self.cfg.detection_delay, MapEvent::Requeue(task));
             } else {
                 self.requeue(task, t);
             }
@@ -1376,7 +1187,7 @@ impl MapPhaseSim {
             return; // resolved while the detection timer ran
         }
         self.telemetry.requeues.incr();
-        self.emit(TraceEvent::TaskRequeued {
+        self.cluster.emit(TraceEvent::TaskRequeued {
             task: task as u32,
             t,
         });
@@ -1388,7 +1199,7 @@ impl MapPhaseSim {
         if self.tasks[task]
             .replicas
             .iter()
-            .any(|&r| self.nodes[r as usize].up)
+            .any(|&r| self.cluster.is_up(r))
         {
             self.stealable.insert(task);
         }
@@ -1396,36 +1207,31 @@ impl MapPhaseSim {
 
     fn on_down(&mut self, n: u32, t: f64) -> Result<(), SimError> {
         let ni = n as usize;
-        debug_assert!(self.nodes[ni].up);
         self.telemetry.interruptions.incr();
-        self.emit(TraceEvent::NodeDown { node: n, t });
-        self.kill_attempt(n, t, KillReason::Interruption);
-        self.nodes[ni].up = false;
-        self.nodes[ni].down_since = Some(t);
+        self.cluster.announce_down(n, t);
+        // The attempt dies while its host still counts as up: a task it
+        // re-pends is stealable until the local-pending pass below.
+        self.kill_attempt(n, t, KillCause::Interruption);
+        self.cluster.take_down(n, t);
         self.idle.remove(ni);
-        let up_at = self.nodes[ni].pending_up_at.max(t);
-        self.queue.push(up_at, Event::Up(n));
 
         // Optionally, fetches being served by this node fail; the
         // fetchers notice immediately and their tasks re-queue without
         // detection delay. (This runs after the node is marked down so a
         // freed fetcher cannot simply re-fetch from the dead source.)
+        // The killed flows keep their windows on the uplink; the
+        // attempt-tag check skips fetchers already killed by an earlier
+        // outage of this source.
         if self.cfg.fetch_failure {
-            let failed_fetches: Vec<Outbound> = self.nodes[ni]
-                .outbound
-                .iter()
-                .copied()
-                .filter(|o| o.end > t)
-                .collect();
-            self.nodes[ni].outbound.clear();
-            for o in failed_fetches {
-                let still_same_attempt = self.nodes[o.dest as usize]
+            let failed_fetches: Vec<_> = self.cluster.open_flows(n, t).collect();
+            for f in failed_fetches {
+                let still_same_attempt = self.nodes[f.dest as usize]
                     .running
                     .as_ref()
-                    .is_some_and(|a| a.seq == o.dest_seq);
+                    .is_some_and(|a| a.seq == f.tag);
                 if still_same_attempt {
-                    self.kill_attempt(o.dest, t, KillReason::SourceLost);
-                    self.try_assign(o.dest, t)?;
+                    self.kill_attempt(f.dest, t, KillCause::SourceLost);
+                    self.try_assign(f.dest, t)?;
                 }
             }
         }
@@ -1443,7 +1249,7 @@ impl MapPhaseSim {
             if !self.tasks[task]
                 .replicas
                 .iter()
-                .any(|&r| self.nodes[r as usize].up)
+                .any(|&r| self.cluster.is_up(r))
             {
                 self.stealable.remove(task);
             } else if self.pending.contains(task) {
@@ -1459,17 +1265,14 @@ impl MapPhaseSim {
         result
     }
 
-    fn on_up(&mut self, n: u32, t: f64, rng: &mut StdRng) -> Result<(), SimError> {
+    fn on_up(&mut self, n: u32, t: f64) -> Result<(), SimError> {
         let ni = n as usize;
-        debug_assert!(!self.nodes[ni].up);
-        self.nodes[ni].up = true;
-        if let Some(since) = self.nodes[ni].down_since.take() {
-            self.nodes[ni].downtime += t - since;
-            self.emit(TraceEvent::NodeUp { node: n, since, t });
-        }
+        // `bring_up` also schedules the next outage; the passes below
+        // push no events before `try_assign`, so that is unobservable.
+        self.cluster.bring_up(n, t);
         if let Some(mark) = self.nodes[ni].recovery_mark.take() {
             self.nodes[ni].recovery += t - mark;
-            self.emit(TraceEvent::RecoverySpan {
+            self.cluster.emit(TraceEvent::RecoverySpan {
                 node: n,
                 start: mark,
                 end: t,
@@ -1486,11 +1289,6 @@ impl MapPhaseSim {
                 self.stealable.insert(task);
                 freed.push(task);
             }
-        }
-        // Schedule the next outage.
-        if let Some(outage) = self.nodes[ni].process.next_outage(t, rng) {
-            self.nodes[ni].pending_up_at = outage.up_at;
-            self.queue.push(outage.down_at, Event::Down(n));
         }
         let result = self.try_assign(n, t).and_then(|_| {
             // This node returning may unblock idle nodes (new steal
@@ -1530,7 +1328,7 @@ impl MapPhaseSim {
     fn add_local_pending(&mut self, n: u32, task: usize, t: f64) {
         let ni = n as usize;
         self.nodes[ni].local_pending.insert(task);
-        if !self.nodes[ni].up && self.nodes[ni].recovery_mark.is_none() {
+        if !self.cluster.is_up(n) && self.nodes[ni].recovery_mark.is_none() {
             self.nodes[ni].recovery_mark = Some(t);
         }
     }
@@ -1542,7 +1340,7 @@ impl MapPhaseSim {
         if self.nodes[ni].local_pending.is_empty() {
             if let Some(mark) = self.nodes[ni].recovery_mark.take() {
                 self.nodes[ni].recovery += t - mark;
-                self.emit(TraceEvent::RecoverySpan {
+                self.cluster.emit(TraceEvent::RecoverySpan {
                     node: n,
                     start: mark,
                     end: t,
@@ -1552,80 +1350,52 @@ impl MapPhaseSim {
     }
 
     fn finalize(mut self, elapsed: f64, completed: bool, seed: u64) -> DetailedReport {
-        let mut trace = self.trace.take();
         let mut recovery = 0.0;
         let mut up_idle = 0.0;
         let mut node_stats = Vec::with_capacity(self.nodes.len());
-        for (ni, node) in self.nodes.iter_mut().enumerate() {
-            if let Some(since) = node.down_since.take() {
-                node.downtime += (elapsed - since).max(0.0);
-            }
-            if let Some(mark) = node.recovery_mark.take() {
-                node.recovery += (elapsed - mark).max(0.0);
+        for ni in 0..self.nodes.len() {
+            let n = ni as u32;
+            let downtime = self.cluster.downtime(ni, elapsed);
+            if let Some(mark) = self.nodes[ni].recovery_mark.take() {
+                self.nodes[ni].recovery += (elapsed - mark).max(0.0);
                 // Emit only a span that contributes: `(elapsed - mark).max(0.0)`
                 // adds exactly 0.0 otherwise, which derivation reproduces by
                 // simply not seeing a span.
                 if elapsed - mark > 0.0 {
-                    if let Some(recorder) = trace.as_mut() {
-                        recorder.record(TraceEvent::RecoverySpan {
-                            node: ni as u32,
-                            start: mark,
-                            end: elapsed,
-                        });
-                    }
-                }
-            }
-            // An attempt still running at the cut (incomplete runs only)
-            // counts as busy time.
-            if let Some(attempt) = node.running.take() {
-                node.busy += (elapsed - attempt.reserve_start).max(0.0);
-                if let Some(recorder) = trace.as_mut() {
-                    if !attempt.local {
-                        if let Some(source) = attempt.source {
-                            let event = if attempt.compute_start <= elapsed {
-                                TraceEvent::TransferDone {
-                                    source,
-                                    dest: ni as u32,
-                                    task: attempt.task as u32,
-                                    attempt: attempt.seq,
-                                    start: attempt.reserve_start,
-                                    end: attempt.compute_start,
-                                }
-                            } else {
-                                TraceEvent::TransferAborted {
-                                    source,
-                                    dest: ni as u32,
-                                    task: attempt.task as u32,
-                                    attempt: attempt.seq,
-                                    start: attempt.reserve_start,
-                                    end: elapsed,
-                                }
-                            };
-                            recorder.record(event);
-                        }
-                    }
-                    recorder.record(TraceEvent::AttemptCut {
-                        node: ni as u32,
-                        task: attempt.task as u32,
-                        attempt: attempt.seq,
-                        local: attempt.local,
-                        start: attempt.reserve_start,
-                        compute_start: attempt.compute_start,
+                    self.cluster.emit(TraceEvent::RecoverySpan {
+                        node: n,
+                        start: mark,
                         end: elapsed,
                     });
                 }
             }
+            // An attempt still running at the cut (incomplete runs only)
+            // counts as busy time.
+            if let Some(attempt) = self.nodes[ni].running.take() {
+                self.nodes[ni].busy += (elapsed - attempt.reserve_start).max(0.0);
+                self.emit_transfer_end(n, &attempt, elapsed);
+                self.cluster.emit(TraceEvent::AttemptCut {
+                    node: n,
+                    task: attempt.task as u32,
+                    attempt: attempt.seq,
+                    local: attempt.local,
+                    start: attempt.reserve_start,
+                    compute_start: attempt.compute_start,
+                    end: elapsed,
+                });
+            }
+            let node = &self.nodes[ni];
             recovery += node.recovery;
-            let uptime = (elapsed - node.downtime).max(0.0);
+            let uptime = (elapsed - downtime).max(0.0);
             up_idle += (uptime - node.busy).max(0.0);
             self.telemetry.node_busy_us.record_secs(node.busy);
-            self.telemetry.node_down_us.record_secs(node.downtime);
+            self.telemetry.node_down_us.record_secs(downtime);
             self.telemetry
                 .node_idle_us
                 .record_secs((uptime - node.busy).max(0.0));
             node_stats.push(NodeStat {
                 busy: node.busy,
-                downtime: node.downtime,
+                downtime,
                 recovery: node.recovery,
                 completed_tasks: node.completed_tasks,
                 local_completed: node.local_completed,
@@ -1650,21 +1420,14 @@ impl MapPhaseSim {
         self.telemetry.migration.add_secs(report.migration);
         self.telemetry.misc.add_secs(report.misc);
         self.telemetry.elapsed.add_secs(report.elapsed);
-        let meta = TraceMeta {
-            nodes: self.nodes.len() as u32,
-            tasks: self.tasks.len() as u32,
-            gamma: self.cfg.gamma,
-            block_bytes: self.cfg.block_size.bytes(),
-            seed,
-            elapsed,
-            completed,
-        };
         DetailedReport {
             report,
             node_stats,
             winners: self.tasks.iter().map(|t| t.winner.map(NodeId)).collect(),
             telemetry: self.telemetry.snapshot(),
-            trace: trace.map(|recorder| recorder.finish(meta)),
+            trace: self
+                .cluster
+                .seal(self.tasks.len(), self.cfg.gamma, seed, elapsed, completed),
         }
     }
 }
@@ -1672,6 +1435,7 @@ impl MapPhaseSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::outage;
     use adapt_availability::dist::Dist;
 
     fn reliable(n: usize) -> Vec<InterruptionProcess> {
@@ -1680,6 +1444,22 @@ mod tests {
 
     fn cfg() -> SimConfig {
         SimConfig::new(8.0, BlockSize::DEFAULT, 12.0).unwrap()
+    }
+
+    fn simulate(
+        processes: Vec<InterruptionProcess>,
+        placement: Vec<Vec<NodeId>>,
+        cfg: SimConfig,
+        seed: u64,
+    ) -> SimReport {
+        MapPhaseSim::new(processes, placement, cfg)
+            .unwrap()
+            .run(seed)
+            .unwrap()
+    }
+
+    fn assert_close(actual: f64, expected: f64) {
+        assert!((actual - expected).abs() < 1e-9, "{actual} != {expected}");
     }
 
     /// `blocks[i] = node` places task i's single replica on that node.
@@ -1712,10 +1492,7 @@ mod tests {
         // 2 nodes, 3 local tasks each: elapsed = 3γ, perfect locality,
         // zero overheads except tail idle (none here — symmetric).
         let placement = single_replica(&[0, 1, 0, 1, 0, 1]);
-        let report = MapPhaseSim::new(reliable(2), placement, cfg())
-            .unwrap()
-            .run(1)
-            .unwrap();
+        let report = simulate(reliable(2), placement, cfg(), 1);
         assert!(report.completed);
         assert!((report.elapsed - 36.0).abs() < 1e-9);
         assert_eq!(report.local_tasks, 6);
@@ -1733,10 +1510,7 @@ mod tests {
         // (512 Mb/s -> 1 s per block) so stealing is worthwhile.
         let placement = single_replica(&[0, 0, 0, 0]);
         let fast = SimConfig::new(512.0, BlockSize::DEFAULT, 12.0).unwrap();
-        let report = MapPhaseSim::new(reliable(2), placement, fast)
-            .unwrap()
-            .run(2)
-            .unwrap();
+        let report = simulate(reliable(2), placement, fast, 2);
         assert!(report.completed);
         assert!(report.transfers > 0, "node 1 should steal");
         assert!(report.migration > 0.0);
@@ -1751,10 +1525,7 @@ mod tests {
         // through its local tasks while node 1's single steal is slow.
         let placement = single_replica(&[0; 8]);
         let slow = SimConfig::new(1.0, BlockSize::DEFAULT, 12.0).unwrap();
-        let report = MapPhaseSim::new(reliable(2), placement, slow)
-            .unwrap()
-            .run(3)
-            .unwrap();
+        let report = simulate(reliable(2), placement, slow, 3);
         assert!(report.completed);
         // Node 0 finishes the rest locally long before the transfer ends;
         // elapsed is bounded by the local serial time.
@@ -1765,10 +1536,7 @@ mod tests {
     fn replicated_blocks_allow_local_execution_on_either_holder() {
         // Each task replicated on both nodes: everything is local.
         let placement: Vec<Vec<NodeId>> = (0..6).map(|_| vec![NodeId(0), NodeId(1)]).collect();
-        let report = MapPhaseSim::new(reliable(2), placement, cfg())
-            .unwrap()
-            .run(4)
-            .unwrap();
+        let report = simulate(reliable(2), placement, cfg(), 4);
         assert_eq!(report.locality(), 1.0);
         assert_eq!(report.transfers, 0);
         assert!((report.elapsed - 36.0).abs() < 1e-9);
@@ -1818,70 +1586,25 @@ mod tests {
         // Node 0 goes down at t=5 for 100 s, killing its 12 s task. Node 1
         // holds no replica and the block's only copy is on the downed
         // host, so the task waits for recovery: restart at 105, done 117.
-        use adapt_traces::record::{HostId, HostTrace, Interruption};
-        use adapt_traces::replay::InterruptionSchedule;
-        let host = HostTrace::new(
-            HostId(0),
-            1e6,
-            vec![Interruption {
-                start: 5.0,
-                duration: 100.0,
-            }],
-        )
-        .unwrap();
-        let processes = vec![
-            InterruptionProcess::trace(InterruptionSchedule::from_host_trace(&host)),
-            InterruptionProcess::none(),
-        ];
+        let processes = vec![outage(5.0, 100.0), InterruptionProcess::none()];
         let placement = single_replica(&[0]);
-        let report = MapPhaseSim::new(processes, placement, cfg())
-            .unwrap()
-            .run(5)
-            .unwrap();
+        let report = simulate(processes, placement, cfg(), 5);
         assert!(report.completed);
         // 5 s of compute lost on node 0.
-        assert!(
-            (report.rework - 5.0).abs() < 1e-9,
-            "rework {}",
-            report.rework
-        );
-        assert!(
-            (report.elapsed - 117.0).abs() < 1e-9,
-            "elapsed {}",
-            report.elapsed
-        );
+        assert_close(report.rework, 5.0);
+        assert_close(report.elapsed, 117.0);
         assert_eq!(report.transfers, 0);
         assert_eq!(report.locality(), 1.0);
         // The full outage stalled the pending task.
-        assert!(
-            (report.recovery - 100.0).abs() < 1e-9,
-            "recovery {}",
-            report.recovery
-        );
+        assert_close(report.recovery, 100.0);
     }
 
     #[test]
     fn task_waits_for_its_only_holder_when_stealing_is_impossible() {
         // Single node cluster: interrupted at t=5 for 50 s; the task must
         // wait (recovery cost) and re-execute (rework).
-        use adapt_traces::record::{HostId, HostTrace, Interruption};
-        use adapt_traces::replay::InterruptionSchedule;
-        let host = HostTrace::new(
-            HostId(0),
-            1e6,
-            vec![Interruption {
-                start: 5.0,
-                duration: 50.0,
-            }],
-        )
-        .unwrap();
-        let processes = vec![InterruptionProcess::trace(
-            InterruptionSchedule::from_host_trace(&host),
-        )];
-        let report = MapPhaseSim::new(processes, single_replica(&[0]), cfg())
-            .unwrap()
-            .run(6)
-            .unwrap();
+        let processes = vec![outage(5.0, 50.0)];
+        let report = simulate(processes, single_replica(&[0]), cfg(), 6);
         assert!(report.completed);
         // Killed at 5 (rework 5), down until 55, restart, done at 67.
         assert!((report.elapsed - 67.0).abs() < 1e-9);
@@ -1898,15 +1621,8 @@ mod tests {
         // ETA of 524 — duplicates task 1 locally, finishing at t=24.
         let placement = single_replica(&[0, 0]);
         let slow = SimConfig::new(1.0, BlockSize::DEFAULT, 12.0).unwrap();
-        let spec_on = MapPhaseSim::new(reliable(2), placement.clone(), slow)
-            .unwrap()
-            .run(7)
-            .unwrap();
-        assert!(
-            (spec_on.elapsed - 24.0).abs() < 1e-9,
-            "elapsed {}",
-            spec_on.elapsed
-        );
+        let spec_on = simulate(reliable(2), placement.clone(), slow, 7);
+        assert_close(spec_on.elapsed, 24.0);
         assert!(spec_on.attempts > 2, "duplicate attempt expected");
         assert!(
             spec_on.migration > 0.0,
@@ -1914,10 +1630,7 @@ mod tests {
         );
 
         // Without speculation the job waits for the 512 s transfer.
-        let spec_off = MapPhaseSim::new(reliable(2), placement, slow.with_speculation(false))
-            .unwrap()
-            .run(7)
-            .unwrap();
+        let spec_off = simulate(reliable(2), placement, slow.with_speculation(false), 7);
         assert!(
             spec_off.elapsed > 500.0,
             "elapsed without speculation {}",
@@ -1941,10 +1654,7 @@ mod tests {
             })
             .collect();
         let placement: Vec<Vec<NodeId>> = (0..160).map(|i| vec![NodeId(i % 16)]).collect();
-        let report = MapPhaseSim::new(processes, placement, cfg())
-            .unwrap()
-            .run(8)
-            .unwrap();
+        let report = simulate(processes, placement, cfg(), 8);
         assert!(report.completed);
         assert!(report.elapsed > 0.0);
         assert!(report.rework >= 0.0);
@@ -1974,71 +1684,34 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let placement: Vec<Vec<NodeId>> = (0..80).map(|i| vec![NodeId(i % 8)]).collect();
-        let a = MapPhaseSim::new(processes(0), placement.clone(), cfg())
-            .unwrap()
-            .run(99)
-            .unwrap();
-        let b = MapPhaseSim::new(processes(0), placement.clone(), cfg())
-            .unwrap()
-            .run(99)
-            .unwrap();
+        let a = simulate(processes(0), placement.clone(), cfg(), 99);
+        let b = simulate(processes(0), placement.clone(), cfg(), 99);
         assert_eq!(a, b);
-        let c = MapPhaseSim::new(processes(0), placement, cfg())
-            .unwrap()
-            .run(100)
-            .unwrap();
+        let c = simulate(processes(0), placement, cfg(), 100);
         assert_ne!(a, c, "different seeds should differ");
     }
 
     #[test]
     fn horizon_reports_incomplete() {
-        use adapt_traces::record::{HostId, HostTrace, Interruption};
-        use adapt_traces::replay::InterruptionSchedule;
         // The only replica holder is down from 0 to 1e5; horizon 100.
-        let host = HostTrace::new(
-            HostId(0),
-            1e6,
-            vec![Interruption {
-                start: 0.0,
-                duration: 1e5,
-            }],
-        )
-        .unwrap();
-        let processes = vec![InterruptionProcess::trace(
-            InterruptionSchedule::from_host_trace(&host),
-        )];
-        let report = MapPhaseSim::new(processes, single_replica(&[0]), cfg().with_horizon(100.0))
-            .unwrap()
-            .run(9)
-            .unwrap();
+        let processes = vec![outage(0.0, 1e5)];
+        let report = simulate(
+            processes,
+            single_replica(&[0]),
+            cfg().with_horizon(100.0),
+            9,
+        );
         assert!(!report.completed);
         assert_eq!(report.elapsed, 100.0);
     }
 
     #[test]
     fn node_down_at_start_defers_its_local_tasks() {
-        use adapt_traces::record::{HostId, HostTrace, Interruption};
-        use adapt_traces::replay::InterruptionSchedule;
         // Node 0 down [0, 30); its 2 tasks must wait or be stolen by
         // node 1 (which has its own task first).
-        let host = HostTrace::new(
-            HostId(0),
-            1e6,
-            vec![Interruption {
-                start: 0.0,
-                duration: 30.0,
-            }],
-        )
-        .unwrap();
-        let processes = vec![
-            InterruptionProcess::trace(InterruptionSchedule::from_host_trace(&host)),
-            InterruptionProcess::none(),
-        ];
+        let processes = vec![outage(0.0, 30.0), InterruptionProcess::none()];
         let placement = single_replica(&[0, 0, 1]);
-        let report = MapPhaseSim::new(processes, placement, cfg())
-            .unwrap()
-            .run(10)
-            .unwrap();
+        let report = simulate(processes, placement, cfg(), 10);
         assert!(report.completed);
         // Node 0's blocks are unreachable until t=30 (only replica), so
         // nothing can steal them: node 1 does its local task (12 s) then
@@ -2064,10 +1737,7 @@ mod tests {
                 .unwrap()
                 .with_max_copies(max_copies)
                 .unwrap();
-            let report = MapPhaseSim::new(processes.clone(), placement.clone(), cfg)
-                .unwrap()
-                .run(41)
-                .unwrap();
+            let report = simulate(processes.clone(), placement.clone(), cfg, 41);
             assert!(report.completed, "max_copies {max_copies}");
             // With max_copies = 1 no duplication at all: attempts only
             // grow through interruption re-executions.
@@ -2097,10 +1767,7 @@ mod tests {
             .with_scheduling(SchedulingMode::AvailabilityAware)
             .with_detection_delay(5.0)
             .unwrap();
-        let report = MapPhaseSim::new(processes, placement, cfg)
-            .unwrap()
-            .run(42)
-            .unwrap();
+        let report = simulate(processes, placement, cfg, 42);
         assert!(report.completed);
         assert!(report.misc >= -1e-6);
         assert!(report.rework >= 0.0);
@@ -2109,24 +1776,10 @@ mod tests {
 
     #[test]
     fn fetch_failure_kills_in_flight_transfers_when_enabled() {
-        use adapt_traces::record::{HostId, HostTrace, Interruption};
-        use adapt_traces::replay::InterruptionSchedule;
         // Tasks 0 and 1 on node 0 (64 s transfers at 8 Mb/s). Node 1
         // steals task 1 at t=0; node 0 dies at t=10 until t=200.
         let mk = |fetch_failure: bool| {
-            let host = HostTrace::new(
-                HostId(0),
-                1e6,
-                vec![Interruption {
-                    start: 10.0,
-                    duration: 190.0,
-                }],
-            )
-            .unwrap();
-            let processes = vec![
-                InterruptionProcess::trace(InterruptionSchedule::from_host_trace(&host)),
-                InterruptionProcess::none(),
-            ];
+            let processes = vec![outage(10.0, 190.0), InterruptionProcess::none()];
             let placement = single_replica(&[0, 0]);
             let cfg = cfg().with_fetch_failure(fetch_failure);
             MapPhaseSim::new(processes, placement, cfg)
@@ -2137,11 +1790,7 @@ mod tests {
         // Default: the transfer survives; node 1 finishes task 1 at 76,
         // node 0 resumes task 0 at 200 and finishes at 212.
         let lenient = mk(false);
-        assert!(
-            (lenient.elapsed - 212.0).abs() < 1e-9,
-            "lenient {}",
-            lenient.elapsed
-        );
+        assert_close(lenient.elapsed, 212.0);
         // With fetch failure: node 1's fetch dies at t=10; both tasks
         // wait for node 0's recovery at 200. Node 0 runs task 0 locally
         // (200..212) while node 1 re-fetches task 1 (compute would start
@@ -2153,17 +1802,11 @@ mod tests {
             "strict {}",
             strict.elapsed
         );
-        assert!(
-            (strict.elapsed - 224.0).abs() < 1e-9,
-            "strict {}",
-            strict.elapsed
-        );
+        assert_close(strict.elapsed, 224.0);
     }
 
     #[test]
     fn detection_delay_postpones_requeue() {
-        use adapt_traces::record::{HostId, HostTrace, Interruption};
-        use adapt_traces::replay::InterruptionSchedule;
         // Node 0 dies at t=5 for 50 s, killing its 12 s task. With oracle
         // detection (0 s) the task re-pends at 5 and restarts at 55
         // (done 67). With a 30 s timeout the JobTracker requeues at 35 —
@@ -2171,18 +1814,7 @@ mod tests {
         // make the delay extend past the recovery to observe the shift:
         // an 80 s delay requeues at 85, restart 85, done 97.
         let mk = |delay: f64| {
-            let host = HostTrace::new(
-                HostId(0),
-                1e6,
-                vec![Interruption {
-                    start: 5.0,
-                    duration: 50.0,
-                }],
-            )
-            .unwrap();
-            let processes = vec![InterruptionProcess::trace(
-                InterruptionSchedule::from_host_trace(&host),
-            )];
+            let processes = vec![outage(5.0, 50.0)];
             let cfg = cfg().with_detection_delay(delay).unwrap();
             MapPhaseSim::new(processes, single_replica(&[0]), cfg)
                 .unwrap()
@@ -2190,17 +1822,9 @@ mod tests {
                 .unwrap()
         };
         let oracle = mk(0.0);
-        assert!(
-            (oracle.elapsed - 67.0).abs() < 1e-9,
-            "oracle {}",
-            oracle.elapsed
-        );
+        assert_close(oracle.elapsed, 67.0);
         let delayed = mk(80.0);
-        assert!(
-            (delayed.elapsed - 97.0).abs() < 1e-9,
-            "delayed {}",
-            delayed.elapsed
-        );
+        assert_close(delayed.elapsed, 97.0);
         assert!(delayed.elapsed > oracle.elapsed);
     }
 
@@ -2214,40 +1838,19 @@ mod tests {
 
     #[test]
     fn requeue_after_task_resolved_elsewhere_is_a_noop() {
-        use adapt_traces::record::{HostId, HostTrace, Interruption};
-        use adapt_traces::replay::InterruptionSchedule;
         // Task replicated on nodes 0 and 1. Node 0 dies at t=5 (its copy
         // killed, detection delayed 100 s); node 1 holds a replica and
         // picks the task up as soon as it goes idle... since the task
         // never re-pended, node 1 can only get it via the Requeue at 105
         // — unless it was already RUNNING a duplicate. Simplest check:
         // the run completes and the late Requeue does not double-run it.
-        let host = HostTrace::new(
-            HostId(0),
-            1e6,
-            vec![Interruption {
-                start: 5.0,
-                duration: 500.0,
-            }],
-        )
-        .unwrap();
-        let processes = vec![
-            InterruptionProcess::trace(InterruptionSchedule::from_host_trace(&host)),
-            InterruptionProcess::none(),
-        ];
+        let processes = vec![outage(5.0, 500.0), InterruptionProcess::none()];
         let placement = vec![vec![NodeId(0), NodeId(1)]];
         let cfg = cfg().with_detection_delay(100.0).unwrap();
-        let report = MapPhaseSim::new(processes, placement, cfg)
-            .unwrap()
-            .run(22)
-            .unwrap();
+        let report = simulate(processes, placement, cfg, 22);
         assert!(report.completed);
         // Requeue fires at 105; node 1 runs it locally 105..117.
-        assert!(
-            (report.elapsed - 117.0).abs() < 1e-9,
-            "elapsed {}",
-            report.elapsed
-        );
+        assert_close(report.elapsed, 117.0);
         assert_eq!(report.tasks, 1);
     }
 
@@ -2277,20 +1880,7 @@ mod tests {
 
     #[test]
     fn incomplete_run_has_none_winners() {
-        use adapt_traces::record::{HostId, HostTrace, Interruption};
-        use adapt_traces::replay::InterruptionSchedule;
-        let host = HostTrace::new(
-            HostId(0),
-            1e9,
-            vec![Interruption {
-                start: 0.0,
-                duration: 1e8,
-            }],
-        )
-        .unwrap();
-        let processes = vec![InterruptionProcess::trace(
-            InterruptionSchedule::from_host_trace(&host),
-        )];
+        let processes = vec![outage(0.0, 1e5)];
         let detailed = MapPhaseSim::new(processes, single_replica(&[0]), cfg().with_horizon(50.0))
             .unwrap()
             .run_detailed(12)
@@ -2353,10 +1943,7 @@ mod tests {
             .unwrap()
             .with_max_source_streams(2)
             .unwrap();
-        let report = MapPhaseSim::new(reliable(9), placement, cfg)
-            .unwrap()
-            .run(14)
-            .unwrap();
+        let report = simulate(reliable(9), placement, cfg, 14);
         assert!(report.completed);
         // Serial local would be 108 s; parallel stealing must beat it,
         // but the 2-stream cap forces waves so it cannot collapse to a
@@ -2392,20 +1979,15 @@ mod tests {
         let mut with_rescue = 0.0;
         let mut without_rescue = 0.0;
         for seed in 0..6 {
-            let on = MapPhaseSim::new(processes.clone(), placement.clone(), cfg)
-                .unwrap()
-                .run(seed)
-                .unwrap();
+            let on = simulate(processes.clone(), placement.clone(), cfg, seed);
             assert!(on.completed);
             with_rescue += on.elapsed;
-            let off = MapPhaseSim::new(
+            let off = simulate(
                 processes.clone(),
                 placement.clone(),
                 cfg.with_speculation(false),
-            )
-            .unwrap()
-            .run(seed)
-            .unwrap();
+                seed,
+            );
             without_rescue += off.elapsed;
         }
         assert!(
@@ -2433,7 +2015,6 @@ mod tests {
 
     #[test]
     fn tracing_does_not_perturb_the_run() {
-        use adapt_trace::TraceRecorder;
         for seed in [7u64, 2012, 424242] {
             let plain = volatile_sim().run_detailed(seed).unwrap();
             let traced = volatile_sim()
@@ -2454,7 +2035,7 @@ mod tests {
 
     #[test]
     fn trace_rederives_engine_overheads_exactly() {
-        use adapt_trace::{derive_totals, TraceRecorder};
+        use adapt_trace::derive_totals;
         for seed in [7u64, 2012, 424242] {
             let detailed = volatile_sim()
                 .with_trace(TraceRecorder::new())
@@ -2482,7 +2063,7 @@ mod tests {
 
     #[test]
     fn trace_roundtrips_and_is_byte_stable() {
-        use adapt_trace::{parse_jsonl, write_jsonl, TraceRecorder};
+        use adapt_trace::{parse_jsonl, write_jsonl};
         let detailed = volatile_sim()
             .with_trace(TraceRecorder::new())
             .run_detailed(2012)
@@ -2503,7 +2084,7 @@ mod tests {
 
     #[test]
     fn incomplete_traced_run_cuts_open_attempts() {
-        use adapt_trace::{derive_totals, TraceEvent, TraceRecorder};
+        use adapt_trace::derive_totals;
         let detailed = MapPhaseSim::new(
             reliable(1),
             single_replica(&[0, 0, 0]),
@@ -2586,7 +2167,6 @@ mod tests {
 
     #[test]
     fn concurrent_cross_rack_flows_share_the_uplink() {
-        use adapt_trace::TraceRecorder;
         // Racks {0,2} and {1,3}; every block on node 0. At t = 0 nodes
         // 1, 2, 3 all steal from node 0: the fetches to 1 and 3 cross
         // the core (the second commits against the first → contention),
@@ -2634,5 +2214,110 @@ mod tests {
         assert!((fetch_end(1) - 128.0).abs() < 1e-9);
         assert!((fetch_end(2) - 64.0).abs() < 1e-9);
         assert!((fetch_end(3) - 256.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn requeue_tied_with_recovery_pops_first() {
+        // Node 0 dies at 4 until 10 and the 6 s detection delay requeues
+        // its task at exactly 10. `kill_attempt` pushes the Requeue before
+        // `on_down` pushes the Up, so at the tie the task re-pends while
+        // its only holder is still down (opening a zero-length recovery
+        // span), and the Up then restarts it locally.
+        let detailed = MapPhaseSim::new(
+            vec![outage(4.0, 6.0)],
+            single_replica(&[0]),
+            cfg().with_detection_delay(6.0).unwrap(),
+        )
+        .unwrap()
+        .with_trace(TraceRecorder::new())
+        .run_detailed(5)
+        .unwrap();
+        assert!((detailed.report.elapsed - 22.0).abs() < 1e-9);
+        let started = |attempt: u64, t: f64| TraceEvent::AttemptStarted {
+            node: 0,
+            task: 0,
+            attempt,
+            local: true,
+            source: None,
+            t,
+            compute_start: t,
+        };
+        let expected = vec![
+            started(0, 0.0),
+            TraceEvent::NodeDown { node: 0, t: 4.0 },
+            TraceEvent::AttemptKilled {
+                node: 0,
+                task: 0,
+                attempt: 0,
+                local: true,
+                start: 0.0,
+                compute_start: 0.0,
+                end: 4.0,
+                reason: KillCause::Interruption,
+            },
+            TraceEvent::TaskRequeued { task: 0, t: 10.0 },
+            TraceEvent::NodeUp {
+                node: 0,
+                since: 4.0,
+                t: 10.0,
+            },
+            TraceEvent::RecoverySpan {
+                node: 0,
+                start: 10.0,
+                end: 10.0,
+            },
+            started(1, 10.0),
+            TraceEvent::AttemptWon {
+                node: 0,
+                task: 0,
+                attempt: 1,
+                local: true,
+                start: 10.0,
+                compute_start: 10.0,
+                end: 22.0,
+            },
+        ];
+        assert_eq!(detailed.trace.unwrap().events, expected);
+    }
+
+    #[test]
+    fn fetch_failure_keeps_killed_flows_on_the_rack_uplink() {
+        // Racks {0, 2} and {1}. At t = 0 node 1 steals task 1 from node 0
+        // across the core (64 s × 2 = 128 s window). Node 0 dies at 4 and
+        // fetch failure kills that fetch, but its window stays committed
+        // on rack 0's uplink: node 1 then steals task 3 from node 2 (also
+        // rack 0) and shares the uplink with the dead flow — 2 streams,
+        // 64 × 2 × 2 = 256 s.
+        let detailed = MapPhaseSim::new(
+            vec![
+                outage(4.0, 1_000.0),
+                InterruptionProcess::none(),
+                InterruptionProcess::none(),
+            ],
+            single_replica(&[0, 0, 2, 2]),
+            cfg()
+                .with_fetch_failure(true)
+                .with_topology(Topology::new(2, 2.0).unwrap()),
+        )
+        .unwrap()
+        .with_trace(TraceRecorder::new())
+        .run_detailed(9)
+        .unwrap();
+        let events = detailed.trace.unwrap().events;
+        assert!(events.contains(&TraceEvent::LinkContention {
+            rack: 0,
+            streams: 2,
+            t: 4.0,
+        }));
+        assert!(events.contains(&TraceEvent::TransferStarted {
+            source: 2,
+            dest: 1,
+            task: 3,
+            attempt: 1,
+            bytes: BlockSize::DEFAULT.bytes(),
+            start: 4.0,
+            end: 260.0,
+        }));
+        assert_eq!(detailed.telemetry.kills_source_lost, 1);
     }
 }

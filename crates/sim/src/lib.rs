@@ -11,16 +11,27 @@
 //! * [`interrupt`] — per-node interruption processes: none, synthetic
 //!   M/G/1 (Poisson arrivals, FCFS-queued recoveries collapsed into busy
 //!   periods), or failure-trace replay.
+//! * `cluster` (crate-private) — the substrate both phases run on: hosts
+//!   going down and up under their processes with per-node RNG streams,
+//!   the event clock, outbound flows over the rack topology, the trace
+//!   sink.
 //! * [`engine`] — the map-phase engine: locality-first task scheduling,
 //!   straggler stealing with block migration over per-node network links,
 //!   speculative duplicates, task re-execution after interruptions, and
 //!   the overhead decomposition (rework / recovery / migration / misc)
 //!   reported in the paper's Figure 5.
+//! * [`reduce`] — the reduce-phase engine: shuffle fetches over the rack
+//!   topology, reduce compute, and Hadoop's reduce-side failure handling.
+//! * [`jobtracker`] — a multi-job JobTracker admitting a job stream
+//!   (FIFO, fair-share or capacity scheduling) over the map engine.
+//! * [`strategy`] — reducer placement strategies: naive, ADAPT, and
+//!   rack-aware.
 //! * [`runner`] — one-call simulation from a NameNode placement plus
 //!   multi-seed aggregation (the paper reports means of 10 runs).
 //! * [`shuffle`] — a first-order shuffle/reduce-phase model with
 //!   availability-aware reducer placement (the paper's stated future
 //!   work).
+//! * [`telemetry`] — engine and shuffle counters and histograms.
 //!
 //! # Example
 //!
@@ -47,6 +58,7 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod cluster;
 pub mod engine;
 pub mod event;
 pub mod interrupt;

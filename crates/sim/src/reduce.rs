@@ -36,18 +36,13 @@
 //! slots — so summed over reducers the slices reconstruct every output
 //! byte exactly (the conservation law the metamorphic suite pins).
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use adapt_dfs::{BlockSize, NodeId};
+use adapt_trace::{Trace, TraceEvent, TraceRecorder};
 
-use adapt_dfs::NodeId;
-use adapt_trace::{Trace, TraceEvent, TraceMeta, TraceRecorder};
-
-use crate::engine::{mix_seed, SimConfig};
+use crate::cluster::{self, Cluster, ClusterEvent};
+use crate::engine::SimConfig;
 use crate::interrupt::InterruptionProcess;
 use crate::SimError;
-
-/// Bytes in one megabyte (matches [`adapt_dfs::BlockSize::as_mb`]).
-const BYTES_PER_MB: f64 = 1_048_576.0;
 
 /// The slice of map output `m` destined for reducer `r` out of `reducers`:
 /// `total / reducers`, plus one remainder byte for the first
@@ -99,38 +94,11 @@ struct ReducerState {
     finish: Option<f64>,
 }
 
-/// An in-flight shuffle fetch served by a node, for cross-rack stream
-/// counting (windows stay committed even if the fetch later aborts —
-/// the same both-links-committed rule as the map engine).
+/// The reduce phase's own events on the cluster clock.
 #[derive(Debug, Clone, Copy)]
-struct Outbound {
-    dest: u32,
-    end: f64,
-}
-
-#[derive(Debug)]
-struct HostState {
-    process: InterruptionProcess,
-    up: bool,
-    pending_up_at: f64,
-    down_since: Option<f64>,
-    outbound: Vec<Outbound>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    /// Initial dispatch of every reducer, after time-zero outages apply.
-    Kick,
-    Down(u32),
-    Up(u32),
-    FetchDone {
-        reducer: u32,
-        epoch: u64,
-    },
-    ReduceDone {
-        reducer: u32,
-        epoch: u64,
-    },
+enum ReduceEvent {
+    FetchDone { reducer: u32, epoch: u64 },
+    ReduceDone { reducer: u32, epoch: u64 },
 }
 
 /// Results of one simulated reduce phase.
@@ -203,9 +171,8 @@ pub struct ReducePhaseSim {
     /// any replicas of the intermediate data).
     holders: Vec<Vec<u32>>,
     output_bytes: Vec<u64>,
-    hosts: Vec<HostState>,
+    cluster: Cluster<ReduceEvent>,
     reducers: Vec<ReducerState>,
-    queue: crate::event::EventQueue<Event>,
     done_count: usize,
     // Accumulators.
     attempts: usize,
@@ -216,7 +183,6 @@ pub struct ReducePhaseSim {
     cross_rack_bytes: u64,
     interruptions: usize,
     rework: f64,
-    trace: Option<TraceRecorder>,
 }
 
 impl ReducePhaseSim {
@@ -239,12 +205,7 @@ impl ReducePhaseSim {
         cfg: SimConfig,
         reduce_gamma: f64,
     ) -> Result<Self, SimError> {
-        if processes.is_empty() {
-            return Err(SimError::InvalidConfig {
-                name: "processes",
-                reason: "cluster must have at least one node".into(),
-            });
-        }
+        let cluster = Cluster::new(processes, &cfg, reducer_nodes.len() + 16)?;
         if holders.is_empty() {
             return Err(SimError::InvalidConfig {
                 name: "holders",
@@ -273,7 +234,7 @@ impl ReducePhaseSim {
                 reason: format!("{reduce_gamma} must be finite and > 0"),
             });
         }
-        let n = processes.len();
+        let n = cluster.len();
         let mut holder_ids = Vec::with_capacity(holders.len());
         for (m, hs) in holders.iter().enumerate() {
             if hs.is_empty() {
@@ -282,58 +243,34 @@ impl ReducePhaseSim {
                     reason: format!("map output {m} has no holders"),
                 });
             }
-            for h in hs {
-                if h.0 as usize >= n {
-                    return Err(SimError::PlacementOutOfRange {
-                        task: m,
-                        node: h.0,
-                        nodes: n,
-                    });
-                }
-            }
-            holder_ids.push(hs.iter().map(|h| h.0).collect());
+            holder_ids.push(
+                hs.iter()
+                    .map(|&h| cluster::node_id(m, h, n))
+                    .collect::<Result<Vec<u32>, _>>()?,
+            );
         }
-        for (r, host) in reducer_nodes.iter().enumerate() {
-            if host.0 as usize >= n {
-                return Err(SimError::PlacementOutOfRange {
-                    task: r,
-                    node: host.0,
-                    nodes: n,
-                });
-            }
-        }
-
-        let hosts = processes
-            .into_iter()
-            .map(|process| HostState {
-                process,
-                up: true,
-                pending_up_at: 0.0,
-                down_since: None,
-                outbound: Vec::new(),
-            })
-            .collect();
-        let reducer_states = reducer_nodes
+        let reducers = reducer_nodes
             .iter()
-            .map(|host| ReducerState {
-                node: host.0,
-                phase: ReducerPhase::Idle,
-                epoch: 0,
-                attempt_seq: 0,
-                next_task: 0,
-                net_bytes: 0,
-                finish: None,
+            .enumerate()
+            .map(|(r, &host)| {
+                Ok(ReducerState {
+                    node: cluster::node_id(r, host, n)?,
+                    phase: ReducerPhase::Idle,
+                    epoch: 0,
+                    attempt_seq: 0,
+                    next_task: 0,
+                    net_bytes: 0,
+                    finish: None,
+                })
             })
-            .collect();
-        let queue = crate::event::EventQueue::with_capacity(n * 2 + reducer_nodes.len() + 16);
+            .collect::<Result<Vec<_>, SimError>>()?;
         Ok(ReducePhaseSim {
             cfg,
             reduce_gamma,
             holders: holder_ids,
             output_bytes,
-            hosts,
-            reducers: reducer_states,
-            queue,
+            cluster,
+            reducers,
             done_count: 0,
             attempts: 0,
             fetches: 0,
@@ -343,7 +280,6 @@ impl ReducePhaseSim {
             cross_rack_bytes: 0,
             interruptions: 0,
             rework: 0.0,
-            trace: None,
         })
     }
 
@@ -352,37 +288,8 @@ impl ReducePhaseSim {
     /// Behavior and the report are byte-identical with or without
     /// tracing.
     pub fn with_trace(mut self, recorder: TraceRecorder) -> Self {
-        self.trace = Some(recorder);
+        self.cluster.set_trace(recorder);
         self
-    }
-
-    #[inline]
-    fn emit(&mut self, event: TraceEvent) {
-        if let Some(recorder) = self.trace.as_mut() {
-            recorder.record(event);
-        }
-    }
-
-    /// Seconds to move `bytes` over one uncontended intra-rack flow.
-    fn bytes_seconds(&self, bytes: u64) -> f64 {
-        (bytes as f64 / BYTES_PER_MB) * 8.0 / self.cfg.bandwidth_mbps()
-    }
-
-    /// Cross-rack shuffle flows active on `rack`'s uplink at `t` (same
-    /// stride scan as the map engine: `rack_of` is `node % racks`).
-    fn cross_rack_streams(&self, rack: u32, t: f64) -> usize {
-        let topo = self.cfg.topology();
-        let mut count = 0;
-        let mut ni = rack as usize;
-        while ni < self.hosts.len() {
-            count += self.hosts[ni]
-                .outbound
-                .iter()
-                .filter(|o| o.end > t && topo.rack_of(o.dest) != rack)
-                .count();
-            ni += topo.racks() as usize;
-        }
-        count
     }
 
     /// Runs the reduce phase to completion (or the horizon) and returns
@@ -395,41 +302,27 @@ impl ReducePhaseSim {
     /// An exceeded horizon is reported via [`ReduceReport::completed`].
     /// [`SimError::InvariantViolation`] signals an internal bug.
     pub fn run(mut self, seed: u64) -> Result<ReduceDetailed, SimError> {
-        let mut rngs: Vec<StdRng> = (0..self.hosts.len())
-            .map(|i| StdRng::seed_from_u64(mix_seed(seed, i as u64)))
-            .collect();
-
-        for (i, rng) in rngs.iter_mut().enumerate() {
-            if let Some(outage) = self.hosts[i].process.next_outage(0.0, rng) {
-                self.hosts[i].pending_up_at = outage.up_at;
-                self.queue.push(outage.down_at, Event::Down(i as u32));
-            }
-        }
-        self.queue.push(0.0, Event::Kick);
-
+        self.cluster.start(seed);
         let mut elapsed = None;
-        while let Some((t, event)) = self.queue.pop() {
-            if t > self.cfg.horizon() {
-                break;
-            }
+        while let Some((t, event)) = self.cluster.pop() {
             match event {
-                Event::Kick => {
+                ClusterEvent::Kick => {
                     for r in 0..self.reducers.len() as u32 {
-                        if self.hosts[self.reducers[r as usize].node as usize].up {
+                        if self.cluster.is_up(self.reducers[r as usize].node) {
                             self.start_attempt(r, t);
                         } else {
                             self.reducers[r as usize].phase = ReducerPhase::WaitingRecovery;
                         }
                     }
                 }
-                Event::Down(n) => self.on_down(n, t),
-                Event::Up(n) => self.on_up(n, t, &mut rngs[n as usize]),
-                Event::FetchDone { reducer, epoch } => {
+                ClusterEvent::Down(n) => self.on_down(n, t),
+                ClusterEvent::Up(n) => self.on_up(n, t),
+                ClusterEvent::Phase(ReduceEvent::FetchDone { reducer, epoch }) => {
                     if self.reducers[reducer as usize].epoch == epoch {
                         self.on_fetch_done(reducer, t)?;
                     }
                 }
-                Event::ReduceDone { reducer, epoch } => {
+                ClusterEvent::Phase(ReduceEvent::ReduceDone { reducer, epoch }) => {
                     if self.reducers[reducer as usize].epoch == epoch {
                         self.on_reduce_done(reducer, t)?;
                         if self.done_count == self.reducers.len() {
@@ -455,7 +348,7 @@ impl ReducePhaseSim {
         self.attempts += 1;
         let attempt = self.reducers[ri].attempt_seq;
         let node = self.reducers[ri].node;
-        self.emit(TraceEvent::ReduceStarted {
+        self.cluster.emit(TraceEvent::ReduceStarted {
             reducer: r,
             node,
             attempt,
@@ -476,9 +369,9 @@ impl ReducePhaseSim {
             if m == self.holders.len() {
                 self.reducers[ri].phase = ReducerPhase::Computing { start: t };
                 let epoch = self.reducers[ri].epoch;
-                self.queue.push(
+                self.cluster.schedule(
                     t + self.reduce_gamma,
-                    Event::ReduceDone { reducer: r, epoch },
+                    ReduceEvent::ReduceDone { reducer: r, epoch },
                 );
                 return;
             }
@@ -496,39 +389,24 @@ impl ReducePhaseSim {
             }
             // Lowest-id alive holder; map-output availability gates the
             // fetch — with every holder down the reducer blocks.
-            let Some(&source) = self.holders[m].iter().find(|&&h| self.hosts[h as usize].up) else {
+            let Some(&source) = self.holders[m].iter().find(|&&h| self.cluster.is_up(h)) else {
                 self.reducers[ri].phase = ReducerPhase::Blocked;
                 return;
             };
-            let topo = self.cfg.topology();
-            let cross_rack = !topo.same_rack(source, node);
-            let streams = if cross_rack {
-                self.cross_rack_streams(topo.rack_of(source), t) + 1
-            } else {
-                1
-            };
-            let end = t + topo.fair_share_seconds(self.bytes_seconds(bytes), source, node, streams);
-            let src = &mut self.hosts[source as usize];
-            src.outbound.retain(|o| o.end > t);
-            src.outbound.push(Outbound { dest: node, end });
+            let base = BlockSize::from_bytes(bytes).transfer_seconds(self.cfg.bandwidth_mbps());
+            let (end, uplink) = self.cluster.commit_flow(source, node, 0, base, t);
             self.fetches += 1;
-            if cross_rack && streams > 1 {
-                self.emit(TraceEvent::LinkContention {
-                    rack: topo.rack_of(source),
-                    streams: streams as u32,
-                    t,
-                });
-            }
             self.reducers[ri].phase = ReducerPhase::Fetching {
                 task: m,
                 source,
                 start: t,
                 end,
                 bytes,
-                cross_rack,
+                cross_rack: uplink.is_some(),
             };
             let epoch = self.reducers[ri].epoch;
-            self.queue.push(end, Event::FetchDone { reducer: r, epoch });
+            self.cluster
+                .schedule(end, ReduceEvent::FetchDone { reducer: r, epoch });
             return;
         }
     }
@@ -549,7 +427,7 @@ impl ReducePhaseSim {
             });
         };
         debug_assert!(end <= t);
-        self.emit(TraceEvent::ShuffleFetch {
+        self.cluster.emit(TraceEvent::ShuffleFetch {
             reducer: r,
             source,
             dest: self.reducers[ri].node,
@@ -584,7 +462,7 @@ impl ReducePhaseSim {
 
     /// Aborts the reducer's in-flight fetch (if any), emitting the
     /// aborted `ShuffleFetch`. The committed window stays on the source's
-    /// uplink — both links were reserved either way.
+    /// uplink (the substrate's one flow rule).
     fn abort_fetch(&mut self, r: u32, t: f64) {
         let ri = r as usize;
         let ReducerPhase::Fetching {
@@ -598,7 +476,7 @@ impl ReducePhaseSim {
         };
         let bytes = slice_bytes(self.output_bytes[task], ri, self.reducers.len());
         self.fetches_aborted += 1;
-        self.emit(TraceEvent::ShuffleFetch {
+        self.cluster.emit(TraceEvent::ShuffleFetch {
             reducer: r,
             source,
             dest: self.reducers[ri].node,
@@ -611,14 +489,9 @@ impl ReducePhaseSim {
     }
 
     fn on_down(&mut self, n: u32, t: f64) {
-        let ni = n as usize;
-        debug_assert!(self.hosts[ni].up);
         self.interruptions += 1;
-        self.emit(TraceEvent::NodeDown { node: n, t });
-        self.hosts[ni].up = false;
-        self.hosts[ni].down_since = Some(t);
-        let up_at = self.hosts[ni].pending_up_at.max(t);
-        self.queue.push(up_at, Event::Up(n));
+        self.cluster.announce_down(n, t);
+        self.cluster.take_down(n, t);
 
         // Reducers hosted here lose everything shuffled so far —
         // equation (2)'s rework applied to the reduce phase.
@@ -658,17 +531,8 @@ impl ReducePhaseSim {
         }
     }
 
-    fn on_up(&mut self, n: u32, t: f64, rng: &mut StdRng) {
-        let ni = n as usize;
-        debug_assert!(!self.hosts[ni].up);
-        self.hosts[ni].up = true;
-        if let Some(since) = self.hosts[ni].down_since.take() {
-            self.emit(TraceEvent::NodeUp { node: n, since, t });
-        }
-        if let Some(outage) = self.hosts[ni].process.next_outage(t, rng) {
-            self.hosts[ni].pending_up_at = outage.up_at;
-            self.queue.push(outage.down_at, Event::Down(n));
-        }
+    fn on_up(&mut self, n: u32, t: f64) {
+        self.cluster.bring_up(n, t);
         // Hosted reducers restart their attempt from scratch; blocked
         // reducers anywhere get another look (this node may now be the
         // alive holder they were waiting for). Ascending reducer order
@@ -682,7 +546,11 @@ impl ReducePhaseSim {
                 ReducerPhase::Blocked => {
                     self.advance(r, t);
                 }
-                _ => {}
+                ReducerPhase::WaitingRecovery
+                | ReducerPhase::Idle
+                | ReducerPhase::Fetching { .. }
+                | ReducerPhase::Computing { .. }
+                | ReducerPhase::Done => {}
             }
         }
     }
@@ -716,29 +584,22 @@ impl ReducePhaseSim {
             finish: self.reducers.iter().map(|r| r.finish).collect(),
             reducer_nodes: self.reducers.iter().map(|r| NodeId(r.node)).collect(),
         };
-        let meta = TraceMeta {
-            nodes: self.hosts.len() as u32,
-            tasks: self.holders.len() as u32,
-            gamma: self.reduce_gamma,
-            block_bytes: self.cfg.block_size().bytes(),
+        let trace = self.cluster.seal(
+            self.holders.len(),
+            self.reduce_gamma,
             seed,
             elapsed,
             completed,
-        };
-        ReduceDetailed {
-            report,
-            trace: self.trace.map(|recorder| recorder.finish(meta)),
-        }
+        );
+        ReduceDetailed { report, trace }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adapt_dfs::BlockSize;
+    use crate::cluster::outage;
     use adapt_net::Topology;
-    use adapt_traces::record::{HostId, HostTrace, Interruption};
-    use adapt_traces::replay::InterruptionSchedule;
 
     const MB: u64 = 1_048_576;
 
@@ -747,14 +608,24 @@ mod tests {
         SimConfig::new(8.0, BlockSize::DEFAULT, 12.0).unwrap()
     }
 
-    fn outage(start: f64, duration: f64) -> InterruptionProcess {
-        let host = HostTrace::new(
-            HostId(0),
-            1_000_000.0,
-            vec![Interruption { start, duration }],
-        )
-        .unwrap();
-        InterruptionProcess::trace(InterruptionSchedule::from_host_trace(&host))
+    fn reliable(n: usize) -> Vec<InterruptionProcess> {
+        vec![InterruptionProcess::none(); n]
+    }
+
+    fn ids(nodes: &[u32]) -> Vec<NodeId> {
+        nodes.iter().map(|&n| NodeId(n)).collect()
+    }
+
+    /// A phase with a 10 s reduce compute; holders and reducers by node id.
+    fn phase(
+        hosts: Vec<InterruptionProcess>,
+        holders: &[&[u32]],
+        bytes: &[u64],
+        reducers: &[u32],
+        cfg: SimConfig,
+    ) -> ReducePhaseSim {
+        let holders = holders.iter().map(|h| ids(h)).collect();
+        ReducePhaseSim::new(hosts, holders, bytes.to_vec(), ids(reducers), cfg, 10.0).unwrap()
     }
 
     #[test]
@@ -770,16 +641,10 @@ mod tests {
     #[test]
     fn all_local_phase_is_pure_compute() {
         // One map output on node 0, reducer on node 0: no network at all.
-        let sim = ReducePhaseSim::new(
-            vec![InterruptionProcess::none(); 2],
-            vec![vec![NodeId(0)]],
-            vec![8 * MB],
-            vec![NodeId(0)],
-            cfg(),
-            10.0,
-        )
-        .unwrap();
-        let report = sim.run(7).unwrap().report;
+        let report = phase(reliable(2), &[&[0]], &[8 * MB], &[0], cfg())
+            .run(7)
+            .unwrap()
+            .report;
         assert!(report.completed);
         assert_eq!(report.elapsed, 10.0);
         assert_eq!(report.local_bytes, 8 * MB);
@@ -794,16 +659,10 @@ mod tests {
     fn remote_fetches_run_sequentially() {
         // Two 8 MB outputs on node 0, reducer on node 1: two 8 s fetches
         // back to back, then 10 s compute.
-        let sim = ReducePhaseSim::new(
-            vec![InterruptionProcess::none(); 2],
-            vec![vec![NodeId(0)], vec![NodeId(0)]],
-            vec![8 * MB, 8 * MB],
-            vec![NodeId(1)],
-            cfg(),
-            10.0,
-        )
-        .unwrap();
-        let report = sim.run(7).unwrap().report;
+        let report = phase(reliable(2), &[&[0], &[0]], &[8 * MB, 8 * MB], &[1], cfg())
+            .run(7)
+            .unwrap()
+            .report;
         assert!(report.completed);
         assert_eq!(report.elapsed, 26.0);
         assert_eq!(report.network_bytes, 16 * MB);
@@ -817,16 +676,11 @@ mod tests {
     fn cross_rack_fetch_pays_the_oversubscribed_uplink() {
         // Nodes 0/1 in different racks, oversubscription 2: the single
         // 8 MB cross-rack fetch takes 16 s instead of 8 s.
-        let sim = ReducePhaseSim::new(
-            vec![InterruptionProcess::none(); 2],
-            vec![vec![NodeId(0)]],
-            vec![8 * MB],
-            vec![NodeId(1)],
-            cfg().with_topology(Topology::new(2, 2.0).unwrap()),
-            10.0,
-        )
-        .unwrap();
-        let report = sim.run(7).unwrap().report;
+        let topo = cfg().with_topology(Topology::new(2, 2.0).unwrap());
+        let report = phase(reliable(2), &[&[0]], &[8 * MB], &[1], topo)
+            .run(7)
+            .unwrap()
+            .report;
         assert_eq!(report.elapsed, 26.0);
         assert_eq!(report.cross_rack_bytes, 8 * MB);
     }
@@ -836,20 +690,15 @@ mod tests {
         // Node 0 dies at t = 4, mid-fetch. The output is replicated on
         // node 2 (same rack as everyone, flat): the fetch aborts at 4 and
         // restarts from node 2, completing at 12; compute ends at 22.
-        let sim = ReducePhaseSim::new(
-            vec![
-                outage(4.0, 1_000.0),
-                InterruptionProcess::none(),
-                InterruptionProcess::none(),
-            ],
-            vec![vec![NodeId(0), NodeId(2)]],
-            vec![8 * MB],
-            vec![NodeId(1)],
-            cfg(),
-            10.0,
-        )
-        .unwrap();
-        let report = sim.run(7).unwrap().report;
+        let hosts = vec![
+            outage(4.0, 1_000.0),
+            InterruptionProcess::none(),
+            InterruptionProcess::none(),
+        ];
+        let report = phase(hosts, &[&[0, 2]], &[8 * MB], &[1], cfg())
+            .run(7)
+            .unwrap()
+            .report;
         assert!(report.completed);
         assert_eq!(report.elapsed, 22.0);
         assert_eq!(report.fetches, 2);
@@ -861,16 +710,11 @@ mod tests {
     fn unreplicated_source_death_blocks_until_recovery() {
         // The only holder dies at 4 and returns at 20: the reducer blocks
         // and refetches 0..8 MB starting at 20, finishing at 28 + 10.
-        let sim = ReducePhaseSim::new(
-            vec![outage(4.0, 16.0), InterruptionProcess::none()],
-            vec![vec![NodeId(0)]],
-            vec![8 * MB],
-            vec![NodeId(1)],
-            cfg(),
-            10.0,
-        )
-        .unwrap();
-        let report = sim.run(7).unwrap().report;
+        let hosts = vec![outage(4.0, 16.0), InterruptionProcess::none()];
+        let report = phase(hosts, &[&[0]], &[8 * MB], &[1], cfg())
+            .run(7)
+            .unwrap()
+            .report;
         assert!(report.completed);
         assert_eq!(report.elapsed, 38.0);
         assert_eq!(report.fetches, 2);
@@ -882,16 +726,11 @@ mod tests {
         // Reducer on node 1 fetches 8 MB (done at 8) and computes; node 1
         // dies at 10 (2 s of compute lost as rework) and returns at 20.
         // The restart refetches all 8 MB (20..28) and computes 28..38.
-        let sim = ReducePhaseSim::new(
-            vec![InterruptionProcess::none(), outage(10.0, 10.0)],
-            vec![vec![NodeId(0)]],
-            vec![8 * MB],
-            vec![NodeId(1)],
-            cfg(),
-            10.0,
-        )
-        .unwrap();
-        let report = sim.run(7).unwrap().report;
+        let hosts = vec![InterruptionProcess::none(), outage(10.0, 10.0)];
+        let report = phase(hosts, &[&[0]], &[8 * MB], &[1], cfg())
+            .run(7)
+            .unwrap()
+            .report;
         assert!(report.completed);
         assert_eq!(report.elapsed, 38.0);
         assert_eq!(report.attempts, 2);
@@ -909,16 +748,11 @@ mod tests {
         // nodes 1 and 3 (rack 1). Reducer 0 commits its 4 MB slice fetch
         // first (uncontended: 4 s × 2 oversub = 8 s), reducer 1 commits
         // while that flow is active (streams = 2: 16 s).
-        let sim = ReducePhaseSim::new(
-            vec![InterruptionProcess::none(); 4],
-            vec![vec![NodeId(0)]],
-            vec![8 * MB],
-            vec![NodeId(1), NodeId(3)],
-            cfg().with_topology(Topology::new(2, 2.0).unwrap()),
-            10.0,
-        )
-        .unwrap();
-        let report = sim.run(7).unwrap().report;
+        let topo = cfg().with_topology(Topology::new(2, 2.0).unwrap());
+        let report = phase(reliable(4), &[&[0]], &[8 * MB], &[1, 3], topo)
+            .run(7)
+            .unwrap()
+            .report;
         assert!(report.completed);
         assert_eq!(report.finish, vec![Some(18.0), Some(26.0)]);
         assert_eq!(report.cross_rack_bytes, 8 * MB);
@@ -929,20 +763,15 @@ mod tests {
         // Node 0 dies mid-fetch at t = 4; the replica on node 2 serves
         // the retry, so the log holds both an aborted and a completed
         // fetch.
-        let sim = ReducePhaseSim::new(
-            vec![
-                outage(4.0, 1_000.0),
-                InterruptionProcess::none(),
-                InterruptionProcess::none(),
-            ],
-            vec![vec![NodeId(0), NodeId(2)]],
-            vec![8 * MB],
-            vec![NodeId(1)],
-            cfg(),
-            10.0,
-        )
-        .unwrap();
-        let detailed = sim.with_trace(TraceRecorder::new()).run(7).unwrap();
+        let hosts = vec![
+            outage(4.0, 1_000.0),
+            InterruptionProcess::none(),
+            InterruptionProcess::none(),
+        ];
+        let detailed = phase(hosts, &[&[0, 2]], &[8 * MB], &[1], cfg())
+            .with_trace(TraceRecorder::new())
+            .run(7)
+            .unwrap();
         assert!(detailed.report.completed);
         let trace = detailed.trace.unwrap();
         let kinds: Vec<&str> = trace.events.iter().map(|e| e.kind()).collect();
@@ -959,15 +788,8 @@ mod tests {
     #[test]
     fn traced_and_untraced_runs_report_identically() {
         let build = || {
-            ReducePhaseSim::new(
-                vec![outage(4.0, 10.0), InterruptionProcess::none()],
-                vec![vec![NodeId(0)], vec![NodeId(1)]],
-                vec![8 * MB, 3 * MB + 1],
-                vec![NodeId(0), NodeId(1)],
-                cfg(),
-                10.0,
-            )
-            .unwrap()
+            let hosts = vec![outage(4.0, 10.0), InterruptionProcess::none()];
+            phase(hosts, &[&[0], &[1]], &[8 * MB, 3 * MB + 1], &[0, 1], cfg())
         };
         let plain = build().run(11).unwrap().report;
         let traced = build()
@@ -980,73 +802,87 @@ mod tests {
 
     #[test]
     fn validation_rejects_malformed_phases() {
-        let p = || vec![InterruptionProcess::none(); 2];
-        assert!(ReducePhaseSim::new(
-            vec![],
-            vec![vec![NodeId(0)]],
-            vec![1],
-            vec![NodeId(0)],
-            cfg(),
-            1.0
-        )
-        .is_err());
-        assert!(ReducePhaseSim::new(p(), vec![], vec![], vec![NodeId(0)], cfg(), 1.0).is_err());
-        assert!(
-            ReducePhaseSim::new(p(), vec![vec![]], vec![1], vec![NodeId(0)], cfg(), 1.0).is_err()
-        );
-        assert!(ReducePhaseSim::new(
-            p(),
-            vec![vec![NodeId(0)]],
-            vec![],
-            vec![NodeId(0)],
-            cfg(),
-            1.0
-        )
-        .is_err());
-        assert!(
-            ReducePhaseSim::new(p(), vec![vec![NodeId(0)]], vec![1], vec![], cfg(), 1.0).is_err()
-        );
-        assert!(ReducePhaseSim::new(
-            p(),
-            vec![vec![NodeId(5)]],
-            vec![1],
-            vec![NodeId(0)],
-            cfg(),
-            1.0
-        )
-        .is_err());
-        assert!(ReducePhaseSim::new(
-            p(),
-            vec![vec![NodeId(0)]],
-            vec![1],
-            vec![NodeId(5)],
-            cfg(),
-            1.0
-        )
-        .is_err());
-        assert!(ReducePhaseSim::new(
-            p(),
-            vec![vec![NodeId(0)]],
-            vec![1],
-            vec![NodeId(0)],
-            cfg(),
-            0.0
-        )
-        .is_err());
+        let rejects = |hosts: usize, holders: &[&[u32]], bytes: &[u64], reducers: &[u32], gamma| {
+            let holders = holders.iter().map(|h| ids(h)).collect();
+            ReducePhaseSim::new(
+                reliable(hosts),
+                holders,
+                bytes.to_vec(),
+                ids(reducers),
+                cfg(),
+                gamma,
+            )
+            .is_err()
+        };
+        assert!(!rejects(2, &[&[0]], &[1], &[0], 1.0));
+        assert!(rejects(0, &[&[0]], &[1], &[0], 1.0));
+        assert!(rejects(2, &[], &[], &[0], 1.0));
+        assert!(rejects(2, &[&[]], &[1], &[0], 1.0));
+        assert!(rejects(2, &[&[0]], &[], &[0], 1.0));
+        assert!(rejects(2, &[&[0]], &[1], &[], 1.0));
+        assert!(rejects(2, &[&[5]], &[1], &[0], 1.0));
+        assert!(rejects(2, &[&[0]], &[1], &[5], 1.0));
+        assert!(rejects(2, &[&[0]], &[1], &[0], 0.0));
+    }
+
+    #[test]
+    fn recovery_tied_with_fetch_done_pops_first() {
+        // Node 2 (the only holder of output 1) is down over [0, 8), and
+        // the reducer's fetch of output 0 also ends at 8. The Up was
+        // pushed at t = 0 by the outage, before the Kick committed the
+        // fetch, so it pops first: output 1's holder is already alive
+        // when the fetch completes and the reducer never blocks.
+        let hosts = vec![
+            InterruptionProcess::none(),
+            InterruptionProcess::none(),
+            outage(0.0, 8.0),
+        ];
+        let detailed = phase(hosts, &[&[0], &[2]], &[8 * MB, 8 * MB], &[1], cfg())
+            .with_trace(TraceRecorder::new())
+            .run(7)
+            .unwrap();
+        assert_eq!(detailed.report.elapsed, 26.0);
+        let fetch = |source: u32, task: u32, start: f64| TraceEvent::ShuffleFetch {
+            reducer: 0,
+            source,
+            dest: 1,
+            task,
+            bytes: 8 * MB,
+            start,
+            end: start + 8.0,
+            aborted: false,
+        };
+        let expected = vec![
+            TraceEvent::NodeDown { node: 2, t: 0.0 },
+            TraceEvent::ReduceStarted {
+                reducer: 0,
+                node: 1,
+                attempt: 0,
+                t: 0.0,
+            },
+            TraceEvent::NodeUp {
+                node: 2,
+                since: 0.0,
+                t: 8.0,
+            },
+            fetch(0, 0, 0.0),
+            fetch(2, 1, 8.0),
+        ];
+        assert_eq!(detailed.trace.unwrap().events, expected);
     }
 
     #[test]
     fn horizon_cuts_the_phase() {
-        let sim = ReducePhaseSim::new(
-            vec![InterruptionProcess::none(); 2],
-            vec![vec![NodeId(0)]],
-            vec![8 * MB],
-            vec![NodeId(1)],
+        let report = phase(
+            reliable(2),
+            &[&[0]],
+            &[8 * MB],
+            &[1],
             cfg().with_horizon(5.0),
-            10.0,
         )
-        .unwrap();
-        let report = sim.run(7).unwrap().report;
+        .run(7)
+        .unwrap()
+        .report;
         assert!(!report.completed);
         assert_eq!(report.elapsed, 5.0);
         assert_eq!(report.finish, vec![None]);

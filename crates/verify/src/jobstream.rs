@@ -31,6 +31,7 @@ use adapt_telemetry::Value;
 use adapt_trace::{TraceEvent, TraceMeta, TraceRecorder};
 use adapt_workload::JobSpec;
 
+use crate::naive::NaiveQueue;
 use crate::oracle::Divergence;
 use crate::reference::ReferenceSim;
 use crate::scenario::NodeKind;
@@ -269,45 +270,6 @@ enum NaiveEvent {
     Finish(u32),
 }
 
-/// The naive stream clock: push appends, pop linearly scans for the
-/// minimum under `(time, seq)` — the total order the optimized heap
-/// pops in, arrived at the slow, obvious way.
-#[derive(Debug, Default)]
-struct NaiveStreamQueue {
-    entries: Vec<(f64, u64, NaiveEvent)>,
-    next_seq: u64,
-}
-
-impl NaiveStreamQueue {
-    fn push(&mut self, time: f64, event: NaiveEvent) {
-        self.entries.push((time, self.next_seq, event));
-        self.next_seq += 1;
-    }
-
-    fn pop(&mut self) -> Option<(f64, NaiveEvent)> {
-        let mut best: Option<usize> = None;
-        for (i, &(time, seq, _)) in self.entries.iter().enumerate() {
-            let better = match best {
-                None => true,
-                Some(b) => {
-                    let (bt, bs, _) = self.entries[b];
-                    matches!(
-                        time.total_cmp(&bt).then_with(|| seq.cmp(&bs)),
-                        std::cmp::Ordering::Less
-                    )
-                }
-            };
-            if better {
-                best = Some(i);
-            }
-        }
-        best.map(|i| {
-            let (time, _, event) = self.entries.remove(i);
-            (time, event)
-        })
-    }
-}
-
 impl ReferenceJobTracker {
     /// A naive tracker over a cluster of `processes.len()` nodes.
     ///
@@ -354,7 +316,7 @@ impl ReferenceJobTracker {
             prev = j.arrival;
         }
 
-        let mut queue = NaiveStreamQueue::default();
+        let mut queue = NaiveQueue::new();
         for j in jobs {
             queue.push(j.arrival, NaiveEvent::Arrive(j.id));
         }

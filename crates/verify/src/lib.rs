@@ -37,6 +37,7 @@ mod error;
 pub mod generator;
 pub mod jobstream;
 pub mod metamorphic;
+mod naive;
 pub mod oracle;
 pub mod reference;
 pub mod reference_reduce;

@@ -13,6 +13,7 @@
 //! | `SortedVecSet`                | `BTreeSet<usize>`                 |
 //! | `EventQueue` (4-ary heap)     | `Vec` + linear scan for the min   |
 //! | reused `freed_buf` scratch    | a fresh `Vec` per event           |
+//! | rack-stride uplink scan       | scan over every host              |
 //!
 //! Both sides of each row share a *specified* observable order: bitset
 //! and `BTreeSet` iterate ascending, and the queue releases events by
@@ -22,21 +23,20 @@
 //! telemetry counter and the full event trace — on *every* valid input.
 //! Any divergence the oracle finds is a real bug in one of them.
 //!
-//! The per-node RNG seeding (the splitmix64 finalizer over
-//! `(seed, node)`) is duplicated here on purpose: it is part of the
-//! engine's determinism contract, so the reference pins it.
+//! Hosts, the event list, flows and the trace sink come from the crate's
+//! naive substrate (the private `naive` module), written independently
+//! of the engine's.
 
 use std::collections::BTreeSet;
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use adapt_dfs::NodeId;
 use adapt_sim::engine::{DetailedReport, NodeStat, SchedulingMode, SimConfig, SimReport};
 use adapt_sim::interrupt::InterruptionProcess;
 use adapt_sim::telemetry::EngineTelemetry;
 use adapt_sim::SimError;
-use adapt_trace::{KillCause, TraceEvent, TraceMeta, TraceRecorder};
+use adapt_trace::{KillCause, TraceEvent, TraceRecorder};
+
+use crate::naive::{check_node, ClusterEvent, NaiveCluster};
 
 /// Bound on how many stealable tasks one scheduling decision examines
 /// (must match the engine's `MAX_STEAL_SCAN`).
@@ -49,66 +49,10 @@ const STRAGGLER_SLOWDOWN: f64 = 1.2;
 /// `STRAGGLER_ADVANTAGE`).
 const STRAGGLER_ADVANTAGE: f64 = 1.5;
 
-/// The engine's per-node seed derivation (splitmix64 finalizer), pinned
-/// here as part of the determinism contract under verification.
-fn mix_seed(seed: u64, node: u64) -> u64 {
-    let mut z = seed ^ node.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[derive(Debug, Clone, Copy)]
-enum Event {
-    Kick,
-    Down(u32),
-    Up(u32),
+enum MapEvent {
     AttemptDone { node: u32, epoch: u64 },
     Requeue(usize),
-}
-
-/// The naive event queue: an unsorted `Vec` scanned linearly for the
-/// entry minimal under `(time, seq)` — the same total order the engine's
-/// heap pops in, arrived at the slow, obvious way.
-#[derive(Debug, Default)]
-struct NaiveQueue {
-    entries: Vec<(f64, u64, Event)>,
-    next_seq: u64,
-}
-
-impl NaiveQueue {
-    fn push(&mut self, time: f64, event: Event) {
-        assert!(!time.is_nan(), "event time must not be NaN");
-        self.entries.push((time, self.next_seq, event));
-        self.next_seq += 1;
-    }
-
-    fn pop(&mut self) -> Option<(f64, Event)> {
-        let mut best: Option<usize> = None;
-        for (i, &(time, seq, _)) in self.entries.iter().enumerate() {
-            let better = match best {
-                None => true,
-                Some(b) => {
-                    let (bt, bs, _) = self.entries[b];
-                    matches!(
-                        time.total_cmp(&bt).then_with(|| seq.cmp(&bs)),
-                        std::cmp::Ordering::Less
-                    )
-                }
-            };
-            if better {
-                best = Some(i);
-            }
-        }
-        best.map(|i| {
-            let (time, _, event) = self.entries.remove(i);
-            (time, event)
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -121,32 +65,12 @@ struct Attempt {
     source: Option<u32>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Outbound {
-    dest: u32,
-    dest_seq: u64,
-    end: f64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KillReason {
-    Interruption,
-    DuplicateLost,
-    SourceLost,
-}
-
 #[derive(Debug)]
 struct RefNode {
-    process: InterruptionProcess,
-    up: bool,
     epoch: u64,
     running: Option<Attempt>,
     local_pending: BTreeSet<usize>,
-    serving: Vec<f64>,
-    outbound: Vec<Outbound>,
     attempt_seq: u64,
-    pending_up_at: f64,
-    down_since: Option<f64>,
     downtime: f64,
     busy: f64,
     recovery_mark: Option<f64>,
@@ -168,10 +92,10 @@ struct RefTask {
 #[derive(Debug)]
 pub struct ReferenceSim {
     cfg: SimConfig,
+    cluster: NaiveCluster<MapEvent>,
     nodes: Vec<RefNode>,
     slowdown: Vec<f64>,
     tasks: Vec<RefTask>,
-    queue: NaiveQueue,
     pending: BTreeSet<usize>,
     stealable: BTreeSet<usize>,
     spec_candidates: BTreeSet<usize>,
@@ -184,7 +108,6 @@ pub struct ReferenceSim {
     transfers: usize,
     local_completions: usize,
     telemetry: EngineTelemetry,
-    trace: Option<TraceRecorder>,
 }
 
 impl ReferenceSim {
@@ -202,19 +125,14 @@ impl ReferenceSim {
         placement: Vec<Vec<NodeId>>,
         cfg: SimConfig,
     ) -> Result<Self, SimError> {
-        if processes.is_empty() {
-            return Err(SimError::InvalidConfig {
-                name: "processes",
-                reason: "cluster must have at least one node".into(),
-            });
-        }
+        let cluster = NaiveCluster::new(processes, &cfg)?;
         if placement.is_empty() {
             return Err(SimError::InvalidConfig {
                 name: "placement",
                 reason: "job must have at least one task".into(),
             });
         }
-        let n = processes.len();
+        let n = cluster.len();
         let mut tasks = Vec::with_capacity(placement.len());
         for (i, replicas) in placement.iter().enumerate() {
             if replicas.is_empty() {
@@ -223,26 +141,20 @@ impl ReferenceSim {
                     reason: format!("task {i} has no replicas"),
                 });
             }
-            for r in replicas {
-                if r.0 as usize >= n {
-                    return Err(SimError::PlacementOutOfRange {
-                        task: i,
-                        node: r.0,
-                        nodes: n,
-                    });
-                }
+            let mut ids = Vec::new();
+            for &r in replicas {
+                ids.push(check_node(i, r, n)?);
             }
             tasks.push(RefTask {
-                replicas: replicas.iter().map(|r| r.0).collect(),
+                replicas: ids,
                 done: false,
                 running_on: Vec::new(),
                 winner: None,
             });
         }
 
-        let slowdown: Vec<f64> = processes
-            .iter()
-            .map(|p| match p.mean_params() {
+        let slowdown: Vec<f64> = (0..n)
+            .map(|i| match cluster.process(i).mean_params() {
                 None => 1.0,
                 Some((lambda, mu)) => {
                     match adapt_availability::TaskModel::new(
@@ -257,19 +169,12 @@ impl ReferenceSim {
             })
             .collect();
 
-        let mut nodes: Vec<RefNode> = processes
-            .into_iter()
-            .map(|process| RefNode {
-                process,
-                up: true,
+        let mut nodes: Vec<RefNode> = (0..n)
+            .map(|_| RefNode {
                 epoch: 0,
                 running: None,
                 local_pending: BTreeSet::new(),
-                serving: Vec::new(),
-                outbound: Vec::new(),
                 attempt_seq: 0,
-                pending_up_at: 0.0,
-                down_since: None,
                 downtime: 0.0,
                 busy: 0.0,
                 recovery_mark: None,
@@ -290,10 +195,10 @@ impl ReferenceSim {
 
         Ok(ReferenceSim {
             cfg,
+            cluster,
             nodes,
             slowdown,
             tasks,
-            queue: NaiveQueue::default(),
             pending,
             stealable,
             spec_candidates: BTreeSet::new(),
@@ -306,24 +211,17 @@ impl ReferenceSim {
             transfers: 0,
             local_completions: 0,
             telemetry: EngineTelemetry::default(),
-            trace: None,
         })
     }
 
     /// Attaches an event recorder, mirroring `MapPhaseSim::with_trace`.
     pub fn with_trace(mut self, recorder: TraceRecorder) -> Self {
-        self.trace = Some(recorder);
+        self.cluster.set_trace(recorder);
         self
     }
 
-    fn emit(&mut self, event: TraceEvent) {
-        if let Some(recorder) = self.trace.as_mut() {
-            recorder.record(event);
-        }
-    }
-
     fn emit_transfer_end(&mut self, n: u32, attempt: &Attempt, t: f64) {
-        if self.trace.is_none() || attempt.local {
+        if !self.cluster.tracing() || attempt.local {
             return;
         }
         let Some(source) = attempt.source else {
@@ -332,7 +230,7 @@ impl ReferenceSim {
         let (task, seq) = (attempt.task as u32, attempt.seq);
         let (start, end) = (attempt.reserve_start, attempt.compute_start);
         if end <= t {
-            self.emit(TraceEvent::TransferDone {
+            self.cluster.emit(TraceEvent::TransferDone {
                 source,
                 dest: n,
                 task,
@@ -341,7 +239,7 @@ impl ReferenceSim {
                 end,
             });
         } else {
-            self.emit(TraceEvent::TransferAborted {
+            self.cluster.emit(TraceEvent::TransferAborted {
                 source,
                 dest: n,
                 task,
@@ -361,51 +259,31 @@ impl ReferenceSim {
     /// `SimReport::completed`; [`SimError::InvariantViolation`] signals
     /// an internal scheduling bug.
     pub fn run_detailed(mut self, seed: u64) -> Result<DetailedReport, SimError> {
-        let mut rngs: Vec<StdRng> = (0..self.nodes.len())
-            .map(|i| StdRng::seed_from_u64(mix_seed(seed, i as u64)))
-            .collect();
-
-        for (i, rng) in rngs.iter_mut().enumerate() {
-            if let Some(outage) = self.nodes[i].process.next_outage(0.0, rng) {
-                self.nodes[i].pending_up_at = outage.up_at;
-                self.queue.push(outage.down_at, Event::Down(i as u32));
-            }
-        }
-        self.queue.push(0.0, Event::Kick);
-
+        self.cluster.start(seed);
         let mut elapsed = None;
-        let mut last_event_time = 0.0f64;
         loop {
             self.telemetry
                 .queue_depth_hwm
-                .record(self.queue.len() as u64);
-            let Some((t, event)) = self.queue.pop() else {
+                .record(self.cluster.queue_len() as u64);
+            let Some((t, event)) = self.cluster.pop() else {
                 break;
             };
-            debug_assert!(
-                t >= last_event_time,
-                "event queue released t={t} after t={last_event_time}"
-            );
-            last_event_time = t;
-            if t > self.cfg.horizon() {
-                break;
-            }
             match event {
-                Event::Kick => {
+                ClusterEvent::Kick => {
                     self.telemetry.events_kick.incr();
                     for i in 0..self.nodes.len() as u32 {
                         self.try_assign(i, t)?;
                     }
                 }
-                Event::Down(n) => {
+                ClusterEvent::Down(n) => {
                     self.telemetry.events_down.incr();
                     self.on_down(n, t)?;
                 }
-                Event::Up(n) => {
+                ClusterEvent::Up(n) => {
                     self.telemetry.events_up.incr();
-                    self.on_up(n, t, &mut rngs[n as usize])?;
+                    self.on_up(n, t)?;
                 }
-                Event::AttemptDone { node, epoch } => {
+                ClusterEvent::Phase(MapEvent::AttemptDone { node, epoch }) => {
                     self.telemetry.events_attempt_done.incr();
                     if self.nodes[node as usize].epoch == epoch {
                         self.on_attempt_done(node, t)?;
@@ -415,7 +293,7 @@ impl ReferenceSim {
                         }
                     }
                 }
-                Event::Requeue(task) => {
+                ClusterEvent::Phase(MapEvent::Requeue(task)) => {
                     self.telemetry.events_requeue.incr();
                     self.requeue(task, t);
                     self.dispatch_idle(t, &[task])?;
@@ -424,13 +302,13 @@ impl ReferenceSim {
         }
 
         let completed = elapsed.is_some();
-        let elapsed = elapsed.unwrap_or(self.cfg.horizon());
+        let elapsed = elapsed.unwrap_or(self.cluster.horizon());
         Ok(self.finalize(elapsed, completed, seed))
     }
 
     fn try_assign(&mut self, n: u32, t: f64) -> Result<bool, SimError> {
         let ni = n as usize;
-        if !self.nodes[ni].up || self.nodes[ni].running.is_some() {
+        if !self.cluster.is_up(n) || self.nodes[ni].running.is_some() {
             return Ok(false);
         }
         // 1. Local pending work (BTreeSet min = bitset first()).
@@ -504,7 +382,7 @@ impl ReferenceSim {
             });
             if let Some(task) = candidate {
                 self.telemetry.speculative_attempts.incr();
-                self.emit(TraceEvent::SpeculativeLaunched {
+                self.cluster.emit(TraceEvent::SpeculativeLaunched {
                     node: n,
                     task: task as u32,
                     t,
@@ -517,47 +395,29 @@ impl ReferenceSim {
         Ok(false)
     }
 
-    fn active_streams(&self, r: u32, t: f64) -> usize {
-        self.nodes[r as usize]
-            .serving
-            .iter()
-            .filter(|&&end| end > t)
-            .count()
-    }
-
-    /// Cross-rack outbound flows active on `rack`'s uplink at `t` —
-    /// the engine's lazy stride scan, reproduced naively.
-    fn cross_rack_streams(&self, rack: u32, t: f64) -> usize {
-        let topo = self.cfg.topology();
-        let mut count = 0;
-        let mut ni = rack as usize;
-        while ni < self.nodes.len() {
-            count += self.nodes[ni]
-                .outbound
-                .iter()
-                .filter(|o| o.end > t && topo.rack_of(o.dest) != rack)
-                .count();
-            ni += topo.racks() as usize;
-        }
-        count
-    }
-
-    fn admissible_source(&self, task: usize, t: f64) -> Option<u32> {
-        // `<=` keeps the engine's last-wins tie order among minima.
+    /// The least-loaded alive replica of `task` serving fewer than `cap`
+    /// outbound streams at `t`, or `None` if every alive replica is at the
+    /// cap (or down). Ties keep the *last* minimal replica —
+    /// `Iterator::min_by_key` semantics, which the deterministic
+    /// baselines were recorded under.
+    fn least_loaded_source(&self, task: usize, t: f64, cap: usize) -> Option<u32> {
         let mut best: Option<(usize, u32)> = None;
         for &r in &self.tasks[task].replicas {
-            if !self.nodes[r as usize].up {
+            if !self.cluster.is_up(r) {
                 continue;
             }
-            let streams = self.active_streams(r, t);
-            if streams >= self.cfg.max_source_streams() {
-                continue;
-            }
-            if best.is_none_or(|(s, _)| streams <= s) {
+            let streams = self.cluster.open_flows(r, t).len();
+            if streams < cap && best.is_none_or(|(s, _)| streams <= s) {
                 best = Some((streams, r));
             }
         }
         best.map(|(_, r)| r)
+    }
+
+    /// A replica of `task` with a spare outbound stream (the admission
+    /// bound), least loaded first.
+    fn admissible_source(&self, task: usize, t: f64) -> Option<u32> {
+        self.least_loaded_source(task, t, self.cfg.max_source_streams())
     }
 
     fn attempt_eta(&self, n: u32, task: usize, t: f64) -> Option<f64> {
@@ -565,18 +425,14 @@ impl ReferenceSim {
         if state.replicas.contains(&n) {
             return Some(t + self.cfg.gamma());
         }
-        let has_source = state.replicas.iter().any(|&r| {
-            self.nodes[r as usize].up && self.active_streams(r, t) < self.cfg.max_source_streams()
-        });
-        if !has_source {
-            return None;
-        }
-        Some(t + self.cfg.transfer_seconds() + self.cfg.gamma())
+        // A fetch needs an alive replica with a spare outbound stream.
+        self.admissible_source(task, t)
+            .map(|_| t + self.cfg.transfer_seconds() + self.cfg.gamma())
     }
 
     fn start_task(&mut self, n: u32, task: usize, t: f64) -> Result<(), SimError> {
         let ni = n as usize;
-        debug_assert!(self.nodes[ni].up && self.nodes[ni].running.is_none());
+        debug_assert!(self.cluster.is_up(n) && self.nodes[ni].running.is_none());
         self.attempts += 1;
         self.telemetry.attempts_started.incr();
         self.idle.remove(&ni);
@@ -590,46 +446,13 @@ impl ReferenceSim {
         } else {
             let source = self
                 .admissible_source(task, t)
-                .or_else(|| {
-                    let mut best: Option<(usize, u32)> = None;
-                    for &r in &self.tasks[task].replicas {
-                        if !self.nodes[r as usize].up {
-                            continue;
-                        }
-                        let streams = self.active_streams(r, t);
-                        if best.is_none_or(|(s, _)| streams <= s) {
-                            best = Some((streams, r));
-                        }
-                    }
-                    best.map(|(_, r)| r)
-                })
+                .or_else(|| self.least_loaded_source(task, t, usize::MAX))
                 .ok_or(SimError::InvariantViolation {
                     what: "remote attempt started without an alive source replica",
                 })?;
-            // Mirrors the engine: intra-rack fetches keep the flat time
-            // bit-identically; cross-rack fetches pay the oversubscribed
-            // uplink fair-shared over the flows active at commit time.
-            let cross_rack = !self.cfg.topology().same_rack(source, n);
-            let streams = if cross_rack {
-                self.cross_rack_streams(self.cfg.topology().rack_of(source), t) + 1
-            } else {
-                1
-            };
-            let end = t + self.cfg.topology().fair_share_seconds(
-                self.cfg.transfer_seconds(),
-                source,
-                n,
-                streams,
-            );
-            let src = &mut self.nodes[source as usize];
-            src.serving.retain(|&e| e > t);
-            src.serving.push(end);
-            src.outbound.retain(|o| o.end > t);
-            src.outbound.push(Outbound {
-                dest: n,
-                dest_seq: seq,
-                end,
-            });
+            let (end, cross_rack, streams) =
+                self.cluster
+                    .commit(source, n, seq, self.cfg.transfer_seconds(), t);
             self.transfers += 1;
             self.telemetry.transfers_started.incr();
             self.telemetry
@@ -638,22 +461,15 @@ impl ReferenceSim {
             if cross_rack {
                 self.telemetry.transfers_cross_rack.incr();
                 self.telemetry.link_streams_hwm.record(streams as u64);
-                if streams > 1 {
-                    self.emit(TraceEvent::LinkContention {
-                        rack: self.cfg.topology().rack_of(source),
-                        streams: streams as u32,
-                        t,
-                    });
-                }
             }
             transfer_source = Some(source);
             end
         };
 
-        if self.trace.is_some() {
+        if self.cluster.tracing() {
             if let Some(source) = transfer_source {
                 let bytes = self.cfg.block_size().bytes();
-                self.emit(TraceEvent::TransferStarted {
+                self.cluster.emit(TraceEvent::TransferStarted {
                     source,
                     dest: n,
                     task: task as u32,
@@ -663,7 +479,7 @@ impl ReferenceSim {
                     end: compute_start,
                 });
             }
-            self.emit(TraceEvent::AttemptStarted {
+            self.cluster.emit(TraceEvent::AttemptStarted {
                 node: n,
                 task: task as u32,
                 attempt: seq,
@@ -683,9 +499,9 @@ impl ReferenceSim {
             source: transfer_source,
         });
         let epoch = self.nodes[ni].epoch;
-        self.queue.push(
+        self.cluster.schedule(
             compute_start + self.cfg.gamma(),
-            Event::AttemptDone { node: n, epoch },
+            MapEvent::AttemptDone { node: n, epoch },
         );
 
         if self.pending.remove(&task) {
@@ -724,9 +540,9 @@ impl ReferenceSim {
         } else {
             self.migration += attempt.compute_start - attempt.reserve_start;
         }
-        if self.trace.is_some() {
+        if self.cluster.tracing() {
             self.emit_transfer_end(n, &attempt, t);
-            self.emit(TraceEvent::AttemptWon {
+            self.cluster.emit(TraceEvent::AttemptWon {
                 node: n,
                 task: task as u32,
                 attempt: attempt.seq,
@@ -748,14 +564,14 @@ impl ReferenceSim {
             self.telemetry.speculative_wins.incr();
         }
         for loser in losers {
-            self.kill_attempt(loser, t, KillReason::DuplicateLost);
+            self.kill_attempt(loser, t, KillCause::DuplicateLost);
             self.try_assign(loser, t)?;
         }
         self.try_assign(n, t)?;
         self.dispatch_idle(t, &[])
     }
 
-    fn kill_attempt(&mut self, n: u32, t: f64, reason: KillReason) {
+    fn kill_attempt(&mut self, n: u32, t: f64, reason: KillCause) {
         let ni = n as usize;
         let Some(attempt) = self.nodes[ni].running.take() else {
             return;
@@ -765,15 +581,15 @@ impl ReferenceSim {
 
         let compute_lost = (t - attempt.compute_start).clamp(0.0, self.cfg.gamma());
         match reason {
-            KillReason::Interruption => {
+            KillCause::Interruption => {
                 self.rework += compute_lost;
                 self.telemetry.kills_interruption.incr();
             }
-            KillReason::DuplicateLost => {
+            KillCause::DuplicateLost => {
                 self.dup_compute += compute_lost;
                 self.telemetry.speculative_losses.incr();
             }
-            KillReason::SourceLost => {
+            KillCause::SourceLost => {
                 self.dup_compute += compute_lost;
                 self.telemetry.kills_source_lost.incr();
             }
@@ -781,14 +597,9 @@ impl ReferenceSim {
         if !attempt.local {
             self.migration += attempt.compute_start - attempt.reserve_start;
         }
-        if self.trace.is_some() {
+        if self.cluster.tracing() {
             self.emit_transfer_end(n, &attempt, t);
-            let cause = match reason {
-                KillReason::Interruption => KillCause::Interruption,
-                KillReason::DuplicateLost => KillCause::DuplicateLost,
-                KillReason::SourceLost => KillCause::SourceLost,
-            };
-            self.emit(TraceEvent::AttemptKilled {
+            self.cluster.emit(TraceEvent::AttemptKilled {
                 node: n,
                 task: attempt.task as u32,
                 attempt: attempt.seq,
@@ -796,7 +607,7 @@ impl ReferenceSim {
                 start: attempt.reserve_start,
                 compute_start: attempt.compute_start,
                 end: t,
-                reason: cause,
+                reason,
             });
         }
 
@@ -804,9 +615,9 @@ impl ReferenceSim {
         self.tasks[task].running_on.retain(|&r| r != n);
         if !self.tasks[task].done && self.tasks[task].running_on.is_empty() {
             self.spec_candidates.remove(&task);
-            if reason == KillReason::Interruption && self.cfg.detection_delay() > 0.0 {
-                self.queue
-                    .push(t + self.cfg.detection_delay(), Event::Requeue(task));
+            if reason == KillCause::Interruption && self.cfg.detection_delay() > 0.0 {
+                self.cluster
+                    .schedule(t + self.cfg.detection_delay(), MapEvent::Requeue(task));
             } else {
                 self.requeue(task, t);
             }
@@ -818,7 +629,7 @@ impl ReferenceSim {
             return;
         }
         self.telemetry.requeues.incr();
-        self.emit(TraceEvent::TaskRequeued {
+        self.cluster.emit(TraceEvent::TaskRequeued {
             task: task as u32,
             t,
         });
@@ -830,7 +641,7 @@ impl ReferenceSim {
         if self.tasks[task]
             .replicas
             .iter()
-            .any(|&r| self.nodes[r as usize].up)
+            .any(|&r| self.cluster.is_up(r))
         {
             self.stealable.insert(task);
         }
@@ -838,32 +649,23 @@ impl ReferenceSim {
 
     fn on_down(&mut self, n: u32, t: f64) -> Result<(), SimError> {
         let ni = n as usize;
-        debug_assert!(self.nodes[ni].up);
         self.telemetry.interruptions.incr();
-        self.emit(TraceEvent::NodeDown { node: n, t });
-        self.kill_attempt(n, t, KillReason::Interruption);
-        self.nodes[ni].up = false;
-        self.nodes[ni].down_since = Some(t);
+        self.cluster.record_down(n, t);
+        self.kill_attempt(n, t, KillCause::Interruption);
+        self.cluster.mark_down(n, t);
         self.idle.remove(&ni);
-        let up_at = self.nodes[ni].pending_up_at.max(t);
-        self.queue.push(up_at, Event::Up(n));
 
+        // Killed fetches keep their windows on the uplink; the tag check
+        // skips fetchers an earlier outage of this source already killed.
         if self.cfg.fetch_failure() {
-            let failed_fetches: Vec<Outbound> = self.nodes[ni]
-                .outbound
-                .iter()
-                .copied()
-                .filter(|o| o.end > t)
-                .collect();
-            self.nodes[ni].outbound.clear();
-            for o in failed_fetches {
-                let still_same_attempt = self.nodes[o.dest as usize]
+            for f in self.cluster.open_flows(n, t) {
+                let still_same_attempt = self.nodes[f.dest as usize]
                     .running
                     .as_ref()
-                    .is_some_and(|a| a.seq == o.dest_seq);
+                    .is_some_and(|a| a.seq == f.tag);
                 if still_same_attempt {
-                    self.kill_attempt(o.dest, t, KillReason::SourceLost);
-                    self.try_assign(o.dest, t)?;
+                    self.kill_attempt(f.dest, t, KillCause::SourceLost);
+                    self.try_assign(f.dest, t)?;
                 }
             }
         }
@@ -876,7 +678,7 @@ impl ReferenceSim {
             if !self.tasks[task]
                 .replicas
                 .iter()
-                .any(|&r| self.nodes[r as usize].up)
+                .any(|&r| self.cluster.is_up(r))
             {
                 self.stealable.remove(&task);
             } else if self.pending.contains(&task) {
@@ -889,17 +691,14 @@ impl ReferenceSim {
         self.dispatch_idle(t, &freed)
     }
 
-    fn on_up(&mut self, n: u32, t: f64, rng: &mut StdRng) -> Result<(), SimError> {
+    fn on_up(&mut self, n: u32, t: f64) -> Result<(), SimError> {
         let ni = n as usize;
-        debug_assert!(!self.nodes[ni].up);
-        self.nodes[ni].up = true;
-        if let Some(since) = self.nodes[ni].down_since.take() {
+        if let Some(since) = self.cluster.recover(n, t) {
             self.nodes[ni].downtime += t - since;
-            self.emit(TraceEvent::NodeUp { node: n, since, t });
         }
         if let Some(mark) = self.nodes[ni].recovery_mark.take() {
             self.nodes[ni].recovery += t - mark;
-            self.emit(TraceEvent::RecoverySpan {
+            self.cluster.emit(TraceEvent::RecoverySpan {
                 node: n,
                 start: mark,
                 end: t,
@@ -912,10 +711,6 @@ impl ReferenceSim {
                 self.stealable.insert(task);
                 freed.push(task);
             }
-        }
-        if let Some(outage) = self.nodes[ni].process.next_outage(t, rng) {
-            self.nodes[ni].pending_up_at = outage.up_at;
-            self.queue.push(outage.down_at, Event::Down(n));
         }
         self.try_assign(n, t)?;
         self.dispatch_idle(t, &freed)
@@ -944,7 +739,7 @@ impl ReferenceSim {
     fn add_local_pending(&mut self, n: u32, task: usize, t: f64) {
         let ni = n as usize;
         self.nodes[ni].local_pending.insert(task);
-        if !self.nodes[ni].up && self.nodes[ni].recovery_mark.is_none() {
+        if !self.cluster.is_up(n) && self.nodes[ni].recovery_mark.is_none() {
             self.nodes[ni].recovery_mark = Some(t);
         }
     }
@@ -955,7 +750,7 @@ impl ReferenceSim {
         if self.nodes[ni].local_pending.is_empty() {
             if let Some(mark) = self.nodes[ni].recovery_mark.take() {
                 self.nodes[ni].recovery += t - mark;
-                self.emit(TraceEvent::RecoverySpan {
+                self.cluster.emit(TraceEvent::RecoverySpan {
                     node: n,
                     start: mark,
                     end: t,
@@ -965,64 +760,38 @@ impl ReferenceSim {
     }
 
     fn finalize(mut self, elapsed: f64, completed: bool, seed: u64) -> DetailedReport {
-        let mut trace = self.trace.take();
         let mut recovery = 0.0;
         let mut up_idle = 0.0;
         let mut node_stats = Vec::with_capacity(self.nodes.len());
-        for (ni, node) in self.nodes.iter_mut().enumerate() {
-            if let Some(since) = node.down_since.take() {
-                node.downtime += (elapsed - since).max(0.0);
+        for ni in 0..self.nodes.len() {
+            let n = ni as u32;
+            if let Some(since) = self.cluster.open_outage(ni) {
+                self.nodes[ni].downtime += (elapsed - since).max(0.0);
             }
-            if let Some(mark) = node.recovery_mark.take() {
-                node.recovery += (elapsed - mark).max(0.0);
+            if let Some(mark) = self.nodes[ni].recovery_mark.take() {
+                self.nodes[ni].recovery += (elapsed - mark).max(0.0);
                 if elapsed - mark > 0.0 {
-                    if let Some(recorder) = trace.as_mut() {
-                        recorder.record(TraceEvent::RecoverySpan {
-                            node: ni as u32,
-                            start: mark,
-                            end: elapsed,
-                        });
-                    }
-                }
-            }
-            if let Some(attempt) = node.running.take() {
-                node.busy += (elapsed - attempt.reserve_start).max(0.0);
-                if let Some(recorder) = trace.as_mut() {
-                    if !attempt.local {
-                        if let Some(source) = attempt.source {
-                            let event = if attempt.compute_start <= elapsed {
-                                TraceEvent::TransferDone {
-                                    source,
-                                    dest: ni as u32,
-                                    task: attempt.task as u32,
-                                    attempt: attempt.seq,
-                                    start: attempt.reserve_start,
-                                    end: attempt.compute_start,
-                                }
-                            } else {
-                                TraceEvent::TransferAborted {
-                                    source,
-                                    dest: ni as u32,
-                                    task: attempt.task as u32,
-                                    attempt: attempt.seq,
-                                    start: attempt.reserve_start,
-                                    end: elapsed,
-                                }
-                            };
-                            recorder.record(event);
-                        }
-                    }
-                    recorder.record(TraceEvent::AttemptCut {
-                        node: ni as u32,
-                        task: attempt.task as u32,
-                        attempt: attempt.seq,
-                        local: attempt.local,
-                        start: attempt.reserve_start,
-                        compute_start: attempt.compute_start,
+                    self.cluster.emit(TraceEvent::RecoverySpan {
+                        node: n,
+                        start: mark,
                         end: elapsed,
                     });
                 }
             }
+            if let Some(attempt) = self.nodes[ni].running.take() {
+                self.nodes[ni].busy += (elapsed - attempt.reserve_start).max(0.0);
+                self.emit_transfer_end(n, &attempt, elapsed);
+                self.cluster.emit(TraceEvent::AttemptCut {
+                    node: n,
+                    task: attempt.task as u32,
+                    attempt: attempt.seq,
+                    local: attempt.local,
+                    start: attempt.reserve_start,
+                    compute_start: attempt.compute_start,
+                    end: elapsed,
+                });
+            }
+            let node = &self.nodes[ni];
             recovery += node.recovery;
             let uptime = (elapsed - node.downtime).max(0.0);
             up_idle += (uptime - node.busy).max(0.0);
@@ -1058,21 +827,15 @@ impl ReferenceSim {
         self.telemetry.migration.add_secs(report.migration);
         self.telemetry.misc.add_secs(report.misc);
         self.telemetry.elapsed.add_secs(report.elapsed);
-        let meta = TraceMeta {
-            nodes: self.nodes.len() as u32,
-            tasks: self.tasks.len() as u32,
-            gamma: self.cfg.gamma(),
-            block_bytes: self.cfg.block_size().bytes(),
-            seed,
-            elapsed,
-            completed,
-        };
+        let trace = self
+            .cluster
+            .seal(self.tasks.len(), self.cfg.gamma(), seed, elapsed, completed);
         DetailedReport {
             report,
             node_stats,
             winners: self.tasks.iter().map(|t| t.winner.map(NodeId)).collect(),
             telemetry: self.telemetry.snapshot(),
-            trace: trace.map(|recorder| recorder.finish(meta)),
+            trace,
         }
     }
 }
@@ -1081,33 +844,6 @@ impl ReferenceSim {
 mod tests {
     use super::*;
     use adapt_dfs::BlockSize;
-
-    #[test]
-    fn naive_queue_pops_by_time_then_fifo() {
-        let mut q = NaiveQueue::default();
-        q.push(2.0, Event::Kick);
-        q.push(1.0, Event::Down(0));
-        q.push(2.0, Event::Up(1));
-        let (t1, e1) = q.pop().unwrap();
-        assert_eq!(t1, 1.0);
-        assert!(matches!(e1, Event::Down(0)));
-        let (t2, e2) = q.pop().unwrap();
-        assert_eq!(t2, 2.0);
-        assert!(matches!(e2, Event::Kick));
-        let (t3, e3) = q.pop().unwrap();
-        assert_eq!(t3, 2.0);
-        assert!(matches!(e3, Event::Up(1)));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn mix_seed_matches_splitmix64_vector() {
-        // splitmix64(0 ^ 0) finalizer of z = 0 is 0; a nonzero vector
-        // guards against accidental edits to the pinned constants.
-        assert_eq!(mix_seed(0, 0), 0);
-        assert_ne!(mix_seed(0, 1), mix_seed(0, 2));
-        assert_ne!(mix_seed(1, 0), mix_seed(2, 0));
-    }
 
     #[test]
     fn two_reliable_nodes_complete_in_two_rounds() {

@@ -2,85 +2,34 @@
 //! naive lockstep mirror of `adapt_sim::reduce::ReducePhaseSim`.
 //!
 //! Same decision rules, same tie-breaks, same trace emission points —
-//! but the event queue is an unsorted `Vec` scanned linearly for the
-//! `(time, seq)` minimum instead of the engine's 4-ary heap, and the
-//! cross-rack stream count walks every host instead of striding over
-//! one rack's members. Under the byte-identical output rule the two
-//! implementations must produce equal [`ReduceReport`]s and traces on
-//! every valid input; any divergence the oracle finds is a real bug.
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+//! but built on the crate's naive substrate: the event queue is an
+//! unsorted `Vec` scanned linearly for the `(time, seq)` minimum instead
+//! of the engine's 4-ary heap, and the cross-rack stream count walks
+//! every host instead of striding over one rack's members. Under the
+//! byte-identical output rule the two implementations must produce equal
+//! [`ReduceReport`]s and traces on every valid input; any divergence the
+//! oracle finds is a real bug.
 
 use adapt_dfs::NodeId;
 use adapt_sim::engine::SimConfig;
 use adapt_sim::interrupt::InterruptionProcess;
 use adapt_sim::reduce::{slice_bytes, ReduceDetailed, ReduceReport};
 use adapt_sim::SimError;
-use adapt_trace::{TraceEvent, TraceMeta, TraceRecorder};
+use adapt_trace::{TraceEvent, TraceRecorder};
+
+use crate::naive::{check_node, ClusterEvent, NaiveCluster};
 
 /// Bytes in one megabyte (pinned alongside the engine's constant).
 const BYTES_PER_MB: f64 = 1_048_576.0;
 
-/// The engine's per-node seed derivation (splitmix64 finalizer), pinned
-/// here as part of the determinism contract under verification.
-fn mix_seed(seed: u64, node: u64) -> u64 {
-    let mut z = seed ^ node.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[derive(Debug, Clone, Copy)]
-enum Event {
-    Kick,
-    Down(u32),
-    Up(u32),
+enum ReduceEvent {
     FetchDone { reducer: u32, epoch: u64 },
     ReduceDone { reducer: u32, epoch: u64 },
 }
 
-/// Unsorted-`Vec` event queue popping the `(time, seq)` minimum — the
-/// same total order as the engine's heap, arrived at the obvious way.
-#[derive(Debug, Default)]
-struct NaiveQueue {
-    entries: Vec<(f64, u64, Event)>,
-    next_seq: u64,
-}
-
-impl NaiveQueue {
-    fn push(&mut self, time: f64, event: Event) {
-        assert!(!time.is_nan(), "event time must not be NaN");
-        self.entries.push((time, self.next_seq, event));
-        self.next_seq += 1;
-    }
-
-    fn pop(&mut self) -> Option<(f64, Event)> {
-        let mut best: Option<usize> = None;
-        for (i, &(time, seq, _)) in self.entries.iter().enumerate() {
-            let better = match best {
-                None => true,
-                Some(b) => {
-                    let (bt, bs, _) = self.entries[b];
-                    matches!(
-                        time.total_cmp(&bt).then_with(|| seq.cmp(&bs)),
-                        std::cmp::Ordering::Less
-                    )
-                }
-            };
-            if better {
-                best = Some(i);
-            }
-        }
-        best.map(|i| {
-            let (time, _, event) = self.entries.remove(i);
-            (time, event)
-        })
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum Phase {
+enum ReducerPhase {
     Idle,
     Fetching {
         task: usize,
@@ -101,27 +50,12 @@ enum Phase {
 #[derive(Debug)]
 struct RefReducer {
     node: u32,
-    phase: Phase,
+    phase: ReducerPhase,
     epoch: u64,
     attempt_seq: u64,
     next_task: usize,
     net_bytes: u64,
     finish: Option<f64>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Outbound {
-    dest: u32,
-    end: f64,
-}
-
-#[derive(Debug)]
-struct RefHost {
-    process: InterruptionProcess,
-    up: bool,
-    pending_up_at: f64,
-    down_since: Option<f64>,
-    outbound: Vec<Outbound>,
 }
 
 /// The naive reduce-phase reference. Construct once per run;
@@ -132,9 +66,8 @@ pub struct ReferenceReduce {
     reduce_gamma: f64,
     holders: Vec<Vec<u32>>,
     output_bytes: Vec<u64>,
-    hosts: Vec<RefHost>,
+    cluster: NaiveCluster<ReduceEvent>,
     reducers: Vec<RefReducer>,
-    queue: NaiveQueue,
     done_count: usize,
     attempts: usize,
     fetches: usize,
@@ -144,7 +77,6 @@ pub struct ReferenceReduce {
     cross_rack_bytes: u64,
     interruptions: usize,
     rework: f64,
-    trace: Option<TraceRecorder>,
 }
 
 impl ReferenceReduce {
@@ -162,12 +94,7 @@ impl ReferenceReduce {
         cfg: SimConfig,
         reduce_gamma: f64,
     ) -> Result<Self, SimError> {
-        if processes.is_empty() {
-            return Err(SimError::InvalidConfig {
-                name: "processes",
-                reason: "cluster must have at least one node".into(),
-            });
-        }
+        let cluster = NaiveCluster::new(processes, &cfg)?;
         if holders.is_empty() {
             return Err(SimError::InvalidConfig {
                 name: "holders",
@@ -196,7 +123,7 @@ impl ReferenceReduce {
                 reason: format!("{reduce_gamma} must be finite and > 0"),
             });
         }
-        let n = processes.len();
+        let n = cluster.len();
         let mut holder_ids = Vec::with_capacity(holders.len());
         for (m, hs) in holders.iter().enumerate() {
             if hs.is_empty() {
@@ -205,54 +132,31 @@ impl ReferenceReduce {
                     reason: format!("map output {m} has no holders"),
                 });
             }
-            for h in hs {
-                if h.0 as usize >= n {
-                    return Err(SimError::PlacementOutOfRange {
-                        task: m,
-                        node: h.0,
-                        nodes: n,
-                    });
-                }
+            let mut ids = Vec::new();
+            for &h in hs {
+                ids.push(check_node(m, h, n)?);
             }
-            holder_ids.push(hs.iter().map(|h| h.0).collect());
+            holder_ids.push(ids);
         }
-        for (r, host) in reducer_nodes.iter().enumerate() {
-            if host.0 as usize >= n {
-                return Err(SimError::PlacementOutOfRange {
-                    task: r,
-                    node: host.0,
-                    nodes: n,
-                });
-            }
+        let mut reducers = Vec::new();
+        for (r, &host) in reducer_nodes.iter().enumerate() {
+            reducers.push(RefReducer {
+                node: check_node(r, host, n)?,
+                phase: ReducerPhase::Idle,
+                epoch: 0,
+                attempt_seq: 0,
+                next_task: 0,
+                net_bytes: 0,
+                finish: None,
+            });
         }
         Ok(ReferenceReduce {
             cfg,
             reduce_gamma,
             holders: holder_ids,
             output_bytes,
-            hosts: processes
-                .into_iter()
-                .map(|process| RefHost {
-                    process,
-                    up: true,
-                    pending_up_at: 0.0,
-                    down_since: None,
-                    outbound: Vec::new(),
-                })
-                .collect(),
-            reducers: reducer_nodes
-                .iter()
-                .map(|host| RefReducer {
-                    node: host.0,
-                    phase: Phase::Idle,
-                    epoch: 0,
-                    attempt_seq: 0,
-                    next_task: 0,
-                    net_bytes: 0,
-                    finish: None,
-                })
-                .collect(),
-            queue: NaiveQueue::default(),
+            cluster,
+            reducers,
             done_count: 0,
             attempts: 0,
             fetches: 0,
@@ -262,43 +166,18 @@ impl ReferenceReduce {
             cross_rack_bytes: 0,
             interruptions: 0,
             rework: 0.0,
-            trace: None,
         })
     }
 
     /// Attaches an event recorder, mirroring
     /// `ReducePhaseSim::with_trace`.
     pub fn with_trace(mut self, recorder: TraceRecorder) -> Self {
-        self.trace = Some(recorder);
+        self.cluster.set_trace(recorder);
         self
-    }
-
-    fn emit(&mut self, event: TraceEvent) {
-        if let Some(recorder) = self.trace.as_mut() {
-            recorder.record(event);
-        }
     }
 
     fn bytes_seconds(&self, bytes: u64) -> f64 {
         (bytes as f64 / BYTES_PER_MB) * 8.0 / self.cfg.bandwidth_mbps()
-    }
-
-    /// Cross-rack flows on `rack`'s uplink at `t` — the naive full scan
-    /// over every host (the engine strides over the rack's members;
-    /// hosts outside the rack contribute nothing either way).
-    fn cross_rack_streams(&self, rack: u32, t: f64) -> usize {
-        let topo = self.cfg.topology();
-        self.hosts
-            .iter()
-            .enumerate()
-            .filter(|&(ni, _)| topo.rack_of(ni as u32) == rack)
-            .map(|(_, h)| {
-                h.outbound
-                    .iter()
-                    .filter(|o| o.end > t && topo.rack_of(o.dest) != rack)
-                    .count()
-            })
-            .sum()
     }
 
     /// Runs the reference reduce phase — the same contract as
@@ -308,41 +187,27 @@ impl ReferenceReduce {
     ///
     /// Exactly those of `ReducePhaseSim::run`.
     pub fn run(mut self, seed: u64) -> Result<ReduceDetailed, SimError> {
-        let mut rngs: Vec<StdRng> = (0..self.hosts.len())
-            .map(|i| StdRng::seed_from_u64(mix_seed(seed, i as u64)))
-            .collect();
-
-        for (i, rng) in rngs.iter_mut().enumerate() {
-            if let Some(outage) = self.hosts[i].process.next_outage(0.0, rng) {
-                self.hosts[i].pending_up_at = outage.up_at;
-                self.queue.push(outage.down_at, Event::Down(i as u32));
-            }
-        }
-        self.queue.push(0.0, Event::Kick);
-
+        self.cluster.start(seed);
         let mut elapsed = None;
-        while let Some((t, event)) = self.queue.pop() {
-            if t > self.cfg.horizon() {
-                break;
-            }
+        while let Some((t, event)) = self.cluster.pop() {
             match event {
-                Event::Kick => {
+                ClusterEvent::Kick => {
                     for r in 0..self.reducers.len() as u32 {
-                        if self.hosts[self.reducers[r as usize].node as usize].up {
+                        if self.cluster.is_up(self.reducers[r as usize].node) {
                             self.start_attempt(r, t);
                         } else {
-                            self.reducers[r as usize].phase = Phase::WaitingRecovery;
+                            self.reducers[r as usize].phase = ReducerPhase::WaitingRecovery;
                         }
                     }
                 }
-                Event::Down(n) => self.on_down(n, t),
-                Event::Up(n) => self.on_up(n, t, &mut rngs[n as usize]),
-                Event::FetchDone { reducer, epoch } => {
+                ClusterEvent::Down(n) => self.on_down(n, t),
+                ClusterEvent::Up(n) => self.on_up(n, t),
+                ClusterEvent::Phase(ReduceEvent::FetchDone { reducer, epoch }) => {
                     if self.reducers[reducer as usize].epoch == epoch {
                         self.on_fetch_done(reducer, t)?;
                     }
                 }
-                Event::ReduceDone { reducer, epoch } => {
+                ClusterEvent::Phase(ReduceEvent::ReduceDone { reducer, epoch }) => {
                     if self.reducers[reducer as usize].epoch == epoch {
                         self.on_reduce_done(reducer, t)?;
                         if self.done_count == self.reducers.len() {
@@ -357,7 +222,7 @@ impl ReferenceReduce {
         }
 
         let completed = elapsed.is_some();
-        let elapsed = elapsed.unwrap_or(self.cfg.horizon());
+        let elapsed = elapsed.unwrap_or(self.cluster.horizon());
         Ok(self.finalize(elapsed, completed, seed))
     }
 
@@ -366,7 +231,7 @@ impl ReferenceReduce {
         self.attempts += 1;
         let attempt = self.reducers[ri].attempt_seq;
         let node = self.reducers[ri].node;
-        self.emit(TraceEvent::ReduceStarted {
+        self.cluster.emit(TraceEvent::ReduceStarted {
             reducer: r,
             node,
             attempt,
@@ -382,11 +247,11 @@ impl ReferenceReduce {
         loop {
             let m = self.reducers[ri].next_task;
             if m == self.holders.len() {
-                self.reducers[ri].phase = Phase::Computing { start: t };
+                self.reducers[ri].phase = ReducerPhase::Computing { start: t };
                 let epoch = self.reducers[ri].epoch;
-                self.queue.push(
+                self.cluster.schedule(
                     t + self.reduce_gamma,
-                    Event::ReduceDone { reducer: r, epoch },
+                    ReduceEvent::ReduceDone { reducer: r, epoch },
                 );
                 return;
             }
@@ -400,30 +265,15 @@ impl ReferenceReduce {
                 self.reducers[ri].next_task += 1;
                 continue;
             }
-            let Some(&source) = self.holders[m].iter().find(|&&h| self.hosts[h as usize].up) else {
-                self.reducers[ri].phase = Phase::Blocked;
+            let Some(&source) = self.holders[m].iter().find(|&&h| self.cluster.is_up(h)) else {
+                self.reducers[ri].phase = ReducerPhase::Blocked;
                 return;
             };
-            let topo = self.cfg.topology();
-            let cross_rack = !topo.same_rack(source, node);
-            let streams = if cross_rack {
-                self.cross_rack_streams(topo.rack_of(source), t) + 1
-            } else {
-                1
-            };
-            let end = t + topo.fair_share_seconds(self.bytes_seconds(bytes), source, node, streams);
-            let src = &mut self.hosts[source as usize];
-            src.outbound.retain(|o| o.end > t);
-            src.outbound.push(Outbound { dest: node, end });
+            let (end, cross_rack, _) =
+                self.cluster
+                    .commit(source, node, 0, self.bytes_seconds(bytes), t);
             self.fetches += 1;
-            if cross_rack && streams > 1 {
-                self.emit(TraceEvent::LinkContention {
-                    rack: topo.rack_of(source),
-                    streams: streams as u32,
-                    t,
-                });
-            }
-            self.reducers[ri].phase = Phase::Fetching {
+            self.reducers[ri].phase = ReducerPhase::Fetching {
                 task: m,
                 source,
                 start: t,
@@ -432,14 +282,15 @@ impl ReferenceReduce {
                 cross_rack,
             };
             let epoch = self.reducers[ri].epoch;
-            self.queue.push(end, Event::FetchDone { reducer: r, epoch });
+            self.cluster
+                .schedule(end, ReduceEvent::FetchDone { reducer: r, epoch });
             return;
         }
     }
 
     fn on_fetch_done(&mut self, r: u32, t: f64) -> Result<(), SimError> {
         let ri = r as usize;
-        let Phase::Fetching {
+        let ReducerPhase::Fetching {
             task,
             source,
             start,
@@ -453,7 +304,7 @@ impl ReferenceReduce {
             });
         };
         debug_assert!(end <= t);
-        self.emit(TraceEvent::ShuffleFetch {
+        self.cluster.emit(TraceEvent::ShuffleFetch {
             reducer: r,
             source,
             dest: self.reducers[ri].node,
@@ -475,12 +326,12 @@ impl ReferenceReduce {
 
     fn on_reduce_done(&mut self, r: u32, t: f64) -> Result<(), SimError> {
         let ri = r as usize;
-        if !matches!(self.reducers[ri].phase, Phase::Computing { .. }) {
+        if !matches!(self.reducers[ri].phase, ReducerPhase::Computing { .. }) {
             return Err(SimError::InvariantViolation {
                 what: "epoch-valid reduce completion arrived while not computing",
             });
         }
-        self.reducers[ri].phase = Phase::Done;
+        self.reducers[ri].phase = ReducerPhase::Done;
         self.reducers[ri].finish = Some(t);
         self.done_count += 1;
         Ok(())
@@ -488,7 +339,7 @@ impl ReferenceReduce {
 
     fn abort_fetch(&mut self, r: u32, t: f64) {
         let ri = r as usize;
-        let Phase::Fetching {
+        let ReducerPhase::Fetching {
             task,
             source,
             start,
@@ -499,7 +350,7 @@ impl ReferenceReduce {
         };
         let bytes = slice_bytes(self.output_bytes[task], ri, self.reducers.len());
         self.fetches_aborted += 1;
-        self.emit(TraceEvent::ShuffleFetch {
+        self.cluster.emit(TraceEvent::ShuffleFetch {
             reducer: r,
             source,
             dest: self.reducers[ri].node,
@@ -512,14 +363,9 @@ impl ReferenceReduce {
     }
 
     fn on_down(&mut self, n: u32, t: f64) {
-        let ni = n as usize;
-        debug_assert!(self.hosts[ni].up);
         self.interruptions += 1;
-        self.emit(TraceEvent::NodeDown { node: n, t });
-        self.hosts[ni].up = false;
-        self.hosts[ni].down_since = Some(t);
-        let up_at = self.hosts[ni].pending_up_at.max(t);
-        self.queue.push(up_at, Event::Up(n));
+        self.cluster.record_down(n, t);
+        self.cluster.mark_down(n, t);
 
         for r in 0..self.reducers.len() as u32 {
             let ri = r as usize;
@@ -527,21 +373,21 @@ impl ReferenceReduce {
                 continue;
             }
             match self.reducers[ri].phase {
-                Phase::Done | Phase::WaitingRecovery => continue,
-                Phase::Fetching { .. } => self.abort_fetch(r, t),
-                Phase::Computing { start } => {
+                ReducerPhase::Done | ReducerPhase::WaitingRecovery => continue,
+                ReducerPhase::Fetching { .. } => self.abort_fetch(r, t),
+                ReducerPhase::Computing { start } => {
                     self.rework += (t - start).clamp(0.0, self.reduce_gamma);
                 }
-                Phase::Idle | Phase::Blocked => {}
+                ReducerPhase::Idle | ReducerPhase::Blocked => {}
             }
             self.reducers[ri].epoch += 1;
             self.reducers[ri].attempt_seq += 1;
-            self.reducers[ri].phase = Phase::WaitingRecovery;
+            self.reducers[ri].phase = ReducerPhase::WaitingRecovery;
         }
 
         for r in 0..self.reducers.len() as u32 {
             let ri = r as usize;
-            let Phase::Fetching { source, end, .. } = self.reducers[ri].phase else {
+            let ReducerPhase::Fetching { source, end, .. } = self.reducers[ri].phase else {
                 continue;
             };
             if source != n || end <= t {
@@ -553,34 +399,32 @@ impl ReferenceReduce {
         }
     }
 
-    fn on_up(&mut self, n: u32, t: f64, rng: &mut StdRng) {
-        let ni = n as usize;
-        debug_assert!(!self.hosts[ni].up);
-        self.hosts[ni].up = true;
-        if let Some(since) = self.hosts[ni].down_since.take() {
-            self.emit(TraceEvent::NodeUp { node: n, since, t });
-        }
-        if let Some(outage) = self.hosts[ni].process.next_outage(t, rng) {
-            self.hosts[ni].pending_up_at = outage.up_at;
-            self.queue.push(outage.down_at, Event::Down(n));
-        }
+    fn on_up(&mut self, n: u32, t: f64) {
+        self.cluster.recover(n, t);
         for r in 0..self.reducers.len() as u32 {
             let ri = r as usize;
             match self.reducers[ri].phase {
-                Phase::WaitingRecovery if self.reducers[ri].node == n => {
+                ReducerPhase::WaitingRecovery if self.reducers[ri].node == n => {
                     self.start_attempt(r, t);
                 }
-                Phase::Blocked => {
+                ReducerPhase::Blocked => {
                     self.advance(r, t);
                 }
-                _ => {}
+                ReducerPhase::WaitingRecovery
+                | ReducerPhase::Idle
+                | ReducerPhase::Fetching { .. }
+                | ReducerPhase::Computing { .. }
+                | ReducerPhase::Done => {}
             }
         }
     }
 
     fn finalize(mut self, elapsed: f64, completed: bool, seed: u64) -> ReduceDetailed {
         for r in 0..self.reducers.len() as u32 {
-            if matches!(self.reducers[r as usize].phase, Phase::Fetching { .. }) {
+            if matches!(
+                self.reducers[r as usize].phase,
+                ReducerPhase::Fetching { .. }
+            ) {
                 self.abort_fetch(r, elapsed);
             }
         }
@@ -602,19 +446,14 @@ impl ReferenceReduce {
             finish: self.reducers.iter().map(|r| r.finish).collect(),
             reducer_nodes: self.reducers.iter().map(|r| NodeId(r.node)).collect(),
         };
-        let meta = TraceMeta {
-            nodes: self.hosts.len() as u32,
-            tasks: self.holders.len() as u32,
-            gamma: self.reduce_gamma,
-            block_bytes: self.cfg.block_size().bytes(),
+        let trace = self.cluster.seal(
+            self.holders.len(),
+            self.reduce_gamma,
             seed,
             elapsed,
             completed,
-        };
-        ReduceDetailed {
-            report,
-            trace: self.trace.map(|recorder| recorder.finish(meta)),
-        }
+        );
+        ReduceDetailed { report, trace }
     }
 }
 
