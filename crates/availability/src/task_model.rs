@@ -192,8 +192,23 @@ impl TaskModel {
     ///
     /// Equivalently `γ + E[S]·(E[X] + E[Y])` — the identity is verified by
     /// the test suite.
+    ///
+    /// For an almost-reliable host (`λ < 1/f64::MAX`) `1/λ` overflows, so
+    /// the term `E[S]/λ` is taken as `γ·(e^{γλ} − 1)/(γλ)`, or `γ` once `γλ`
+    /// underflows to zero: `E[T]` then tends to `γ` as the model says. The
+    /// result is `+∞` once `e^{γλ}` overflows (`γλ ≳ 709.78`).
     pub fn expected_completion(&self) -> f64 {
-        self.expected_interruptions() * (1.0 / self.lambda + self.expected_downtime())
+        let inverse_lambda = 1.0 / self.lambda;
+        if inverse_lambda.is_finite() {
+            return self.expected_interruptions() * (inverse_lambda + self.expected_downtime());
+        }
+        let gl = self.gamma * self.lambda;
+        let rework_and_run = if gl > 0.0 {
+            self.gamma * (gl.exp_m1() / gl)
+        } else {
+            self.gamma
+        };
+        rework_and_run + self.expected_interruptions() * self.expected_downtime()
     }
 
     /// The node's task-processing rate `1/E[T]`, the weight ADAPT assigns
@@ -439,6 +454,75 @@ mod tests {
         assert_eq!(m2.mu(), m.mu());
         assert_eq!(m2.gamma(), 24.0);
         assert!(m2.expected_completion() > m.expected_completion());
+    }
+
+    #[test]
+    fn overflowing_inverse_lambda_completes_in_gamma() {
+        // 1/λ overflows for λ below 1/f64::MAX; E[T] must still be ≈ γ,
+        // not ∞ (λ = 1/f64::MAX) or NaN (γλ underflowing to zero).
+        for (lambda, gamma) in [
+            (1.0 / f64::MAX, 0.5),
+            (1.0 / f64::MAX, 12.0),
+            (5e-324, 0.5),
+            (5e-324, 1e6),
+            (1e-310, 3.0),
+        ] {
+            let t = TaskModel::new(lambda, 1.0, gamma)
+                .unwrap()
+                .expected_completion();
+            assert!(
+                (t - gamma).abs() <= 1e-9 * gamma,
+                "λ {lambda:e}, γ {gamma}: E[T] {t}"
+            );
+        }
+    }
+
+    #[test]
+    fn finite_inverse_lambda_keeps_equation_5_bit_for_bit() {
+        for (lambda, mu, gamma) in [
+            (0.1, 4.0, 12.0),
+            (1.0 / 160_290.0, 1_000.0, 12.0),
+            (1e-300, 1.0, 12.0),
+            (1.0 / 1e308, 1.0, 0.5),
+        ] {
+            let m = TaskModel::new(lambda, mu, gamma).unwrap();
+            let closed = m.expected_interruptions() * (1.0 / lambda + m.expected_downtime());
+            assert_eq!(m.expected_completion().to_bits(), closed.to_bits());
+        }
+    }
+
+    #[test]
+    fn overflowing_interruption_count_gives_infinite_completion() {
+        // γλ ≥ 710: e^{γλ} overflows, so E[T] is +∞ (and the node's
+        // placement rate 1/E[T] is zero).
+        for (lambda, mu, gamma) in [(1.0, 0.5, 710.0), (10.0, 0.01, 71.0), (1e-3, 1.0, 1e9)] {
+            let m = TaskModel::new(lambda, mu, gamma).unwrap();
+            assert_eq!(m.expected_completion(), f64::INFINITY);
+            assert_eq!(m.completion_rate(), 0.0);
+        }
+    }
+
+    #[test]
+    fn near_unit_load_is_never_nan() {
+        // ρ → 1⁻: E[Y] = μ/(1 − λμ) grows without bound, but E[T] stays a
+        // number (finite or +∞).
+        for lambda in [1e-9_f64, 1e-3, 0.1, 10.0] {
+            for gamma in [1e-3, 12.0, 1e4] {
+                let mut mu = 1.0 / lambda;
+                for _ in 0..64 {
+                    mu = f64::from_bits(mu.to_bits() - 1);
+                    let Ok(m) = TaskModel::new(lambda, mu, gamma) else {
+                        continue;
+                    };
+                    let t = m.expected_completion();
+                    assert!(!t.is_nan(), "λ {lambda}, μ {mu}, γ {gamma}");
+                    assert!(
+                        t >= gamma * (1.0 - 1e-9),
+                        "λ {lambda}, μ {mu}, γ {gamma}: {t}"
+                    );
+                }
+            }
+        }
     }
 
     proptest! {

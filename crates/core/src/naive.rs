@@ -19,12 +19,14 @@ use crate::weighted::weighted_select;
 #[derive(Debug, Clone, Default)]
 pub struct NaivePolicy {
     weights: Option<Vec<f64>>,
+    /// Scratch for the candidate list, reused across selects.
+    candidates: Vec<(NodeId, f64)>,
 }
 
 impl NaivePolicy {
     /// Creates the naive policy.
     pub fn new() -> Self {
-        NaivePolicy { weights: None }
+        NaivePolicy::default()
     }
 
     /// The weights computed by the last `prepare`, if any.
@@ -72,7 +74,7 @@ impl PlacementPolicy for NaivePolicy {
         let weights = self
             .weights
             .get_or_insert_with(|| NaivePolicy::compute_weights(cluster));
-        weighted_select(cluster, weights, eligible, rng)
+        weighted_select(cluster, weights, eligible, rng, &mut self.candidates)
     }
 }
 

@@ -35,6 +35,8 @@ pub struct AdaptPolicy {
     table: Option<PlacementHashTable>,
     rates: Option<NodeRates>,
     telemetry: PolicyTelemetry,
+    /// Scratch for the fallback's candidate list, reused across selects.
+    candidates: Vec<(NodeId, f64)>,
 }
 
 impl AdaptPolicy {
@@ -52,6 +54,7 @@ impl AdaptPolicy {
             table: None,
             rates: None,
             telemetry: PolicyTelemetry::default(),
+            candidates: Vec::new(),
         })
     }
 
@@ -85,13 +88,6 @@ impl AdaptPolicy {
     /// The hash table built by the last `prepare`, if any.
     pub fn table(&self) -> Option<&PlacementHashTable> {
         self.table.as_ref()
-    }
-
-    fn ensure_rates(&mut self, cluster: &ClusterView) -> &NodeRates {
-        // Disjoint field borrows keep this panic-free: no `expect` on an
-        // option this method just filled.
-        let predictor = &self.predictor;
-        self.rates.get_or_insert_with(|| predictor.rates(cluster))
     }
 }
 
@@ -140,8 +136,11 @@ impl PlacementPolicy for AdaptPolicy {
         // Slow path (crowded exclusions or no prepared table): weighted
         // selection renormalized over the eligible set.
         self.telemetry.select_fallbacks.incr();
-        let rates = self.ensure_rates(cluster).rates().to_vec();
-        weighted_select(cluster, &rates, eligible, rng)
+        // Disjoint field borrows: the rates are read in place, and no
+        // `expect` sits on the option just filled.
+        let predictor = &self.predictor;
+        let rates = self.rates.get_or_insert_with(|| predictor.rates(cluster));
+        weighted_select(cluster, rates.rates(), eligible, rng, &mut self.candidates)
     }
 }
 
@@ -363,5 +362,51 @@ mod tests {
             adapt_makespan < random_makespan,
             "adapt {adapt_makespan} vs random {random_makespan}"
         );
+    }
+
+    #[test]
+    fn golden_placement_on_a_small_grant_of_a_large_cluster() {
+        // The jobstream shape: a 4-node grant inside a 1,024-node
+        // cluster, so most rejection draws miss and the weighted fallback
+        // runs. Replica lists captured before the flat hash table and the
+        // borrowed-rate fallback; placements must not move.
+        let mut nn = emulated_cluster(1024);
+        let grant = [NodeId(3), NodeId(517), NodeId(770), NodeId(1022)];
+        let mut p = AdaptPolicy::new(12.0).unwrap();
+        let mut rng = StdRng::seed_from_u64(2012);
+        let file = nn
+            .create_file_on(
+                "f",
+                12,
+                2,
+                &mut p,
+                Threshold::PaperDefault,
+                &mut rng,
+                &grant,
+            )
+            .unwrap();
+        let replicas: Vec<Vec<u32>> = nn
+            .file(file)
+            .unwrap()
+            .blocks()
+            .iter()
+            .map(|&b| nn.replicas(b).unwrap().iter().map(|n| n.0).collect())
+            .collect();
+        let golden: [[u32; 2]; 12] = [
+            [770, 3],
+            [3, 770],
+            [1022, 770],
+            [3, 770],
+            [770, 3],
+            [3, 770],
+            [3, 1022],
+            [3, 517],
+            [1022, 3],
+            [1022, 770],
+            [3, 770],
+            [770, 1022],
+        ];
+        assert_eq!(replicas, golden.map(Vec::from));
+        assert_eq!(p.telemetry_snapshot().select_fallbacks, 20);
     }
 }

@@ -23,8 +23,11 @@ pub struct NodeRates {
 }
 
 impl NodeRates {
-    /// Expected task completion time `E[Tᵢ]` per node (`f64::INFINITY`
-    /// for nodes that can never finish: dead, or unstable `λμ ≥ 1`).
+    /// Expected task completion time `E[Tᵢ]` per node: `γ` for a reliable
+    /// node (and, up to rounding, for one whose `1/λ` overflows), and
+    /// `f64::INFINITY` for a node that never finishes (dead, or unstable
+    /// `λμ ≥ 1`) or whose `E[Tᵢ]` exceeds the `f64` range (`γλ ≳ 709.78`).
+    /// Non-finite times get placement rate zero.
     pub fn expected_times(&self) -> &[f64] {
         &self.expected
     }
@@ -147,6 +150,12 @@ impl PerformancePredictor {
     /// * a dead node never completes (`+∞`).
     pub fn expected_time(&self, availability: adapt_dfs::NodeAvailability, alive: bool) -> f64 {
         self.evals.incr();
+        self.uncounted_time(availability, alive)
+    }
+
+    /// [`expected_time`](Self::expected_time) without bumping the
+    /// evaluation counter (callers batch the count).
+    fn uncounted_time(&self, availability: adapt_dfs::NodeAvailability, alive: bool) -> f64 {
         if !alive {
             return f64::INFINITY;
         }
@@ -168,9 +177,10 @@ impl PerformancePredictor {
         let expected: Vec<f64> = cluster
             .nodes()
             .iter()
-            .map(|n| self.expected_time(n.availability, n.alive))
+            .map(|n| self.uncounted_time(n.availability, n.alive))
             .collect();
-        let inverse: Vec<f64> = expected
+        self.evals.add(expected.len() as u64);
+        let mut rates: Vec<f64> = expected
             .iter()
             .map(|&t| {
                 if t.is_finite() && t > 0.0 {
@@ -180,12 +190,12 @@ impl PerformancePredictor {
                 }
             })
             .collect();
-        let phi: f64 = inverse.iter().sum();
-        let rates = if phi > 0.0 {
-            inverse.iter().map(|&r| r / phi).collect()
-        } else {
-            inverse
-        };
+        let phi: f64 = rates.iter().sum();
+        if phi > 0.0 {
+            for r in &mut rates {
+                *r /= phi;
+            }
+        }
         NodeRates { expected, rates }
     }
 }
@@ -292,6 +302,34 @@ mod tests {
     }
 
     #[test]
+    fn almost_reliable_node_weighs_like_a_reliable_one() {
+        // MTBI f64::MAX overflows 1/λ in equation (5); the node must still
+        // get a reliable node's share, not zero.
+        let p = PerformancePredictor::new(0.5).unwrap();
+        let v = view(vec![
+            (NodeAvailability::from_mtbi(f64::MAX, 1.0).unwrap(), true),
+            (NodeAvailability::reliable(), true),
+        ]);
+        let r = p.rates(&v);
+        assert!((r.expected_times()[0] - 0.5).abs() <= 1e-9 * 0.5);
+        assert!((r.rate(NodeId(0)).unwrap() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn overflowing_expected_time_gets_zero_rate() {
+        // γλ = 710: e^{γλ} overflows, E[T] = ∞, rate 0.
+        let p = PerformancePredictor::new(710.0).unwrap();
+        let v = view(vec![
+            (NodeAvailability::from_mtbi(1.0, 0.5).unwrap(), true),
+            (NodeAvailability::reliable(), true),
+        ]);
+        let r = p.rates(&v);
+        assert_eq!(r.expected_times()[0], f64::INFINITY);
+        assert_eq!(r.rate(NodeId(0)), Some(0.0));
+        assert_eq!(r.rate(NodeId(1)), Some(1.0));
+    }
+
+    #[test]
     fn all_unusable_cluster_reports_no_usable_rates() {
         let p = PerformancePredictor::new(12.0).unwrap();
         let v = view(vec![(NodeAvailability::reliable(), false)]);
@@ -393,6 +431,35 @@ mod tests {
             let t_slow = p.expected_time(slow, true);
             prop_assert!(t_quick.is_finite() && t_slow.is_finite());
             prop_assert!(t_slow >= t_quick - 1e-9 * t_quick.abs());
+        }
+
+        // Extreme but valid parameters (MTBI from 1e-307 s to near
+        // f64::MAX, recovery up to past the stability edge): no NaN ever
+        // reaches the rates, and the hash table always builds from them.
+        #[test]
+        fn extreme_parameters_never_yield_nan_rates(
+            gamma_exp in -300.0f64..300.0,
+            params in prop::collection::vec(
+                (-307.0f64..308.25, 0.0f64..1.5, 0u32..4),
+                1..12,
+            ),
+        ) {
+            let p = PerformancePredictor::new(10f64.powf(gamma_exp)).unwrap();
+            let mut nodes: Vec<(NodeAvailability, bool)> = params
+                .iter()
+                .map(|&(mtbi_exp, load, alive)| {
+                    let mtbi = 10f64.powf(mtbi_exp).min(f64::MAX);
+                    let mu = (load * mtbi).min(f64::MAX);
+                    (NodeAvailability::from_mtbi(mtbi, mu).unwrap(), alive > 0)
+                })
+                .collect();
+            nodes.push((NodeAvailability::reliable(), true));
+            let r = p.rates(&view(nodes));
+            prop_assert!(r.rates().iter().all(|x| x.is_finite() && *x >= 0.0));
+            prop_assert!(
+                crate::PlacementHashTable::build(r.rates(), 64, crate::ChainWeighting::Rate)
+                    .is_ok()
+            );
         }
 
         // Seed purity: the predictor consumes no randomness, so the same

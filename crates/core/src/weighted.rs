@@ -12,25 +12,31 @@ use adapt_dfs::NodeId;
 /// back to uniform among the eligible (the cluster is unusable by the
 /// model but ingestion must still make progress). Returns `None` only when
 /// no node is eligible at all.
+///
+/// `candidates` is scratch space, cleared on entry; callers keep one
+/// buffer across calls so a selection allocates nothing once it has grown.
 pub fn weighted_select(
     cluster: &ClusterView,
     weights: &[f64],
     eligible: &dyn Fn(NodeId) -> bool,
     rng: &mut dyn Rng,
+    candidates: &mut Vec<(NodeId, f64)>,
 ) -> Option<NodeId> {
-    let candidates: Vec<(NodeId, f64)> = cluster
-        .nodes()
-        .iter()
-        .filter(|n| n.alive && eligible(n.id))
-        .map(|n| {
-            let w = weights
-                .get(n.id.0 as usize)
-                .copied()
-                .filter(|w| w.is_finite() && *w > 0.0)
-                .unwrap_or(0.0);
-            (n.id, w)
-        })
-        .collect();
+    candidates.clear();
+    candidates.extend(
+        cluster
+            .nodes()
+            .iter()
+            .filter(|n| n.alive && eligible(n.id))
+            .map(|n| {
+                let w = weights
+                    .get(n.id.0 as usize)
+                    .copied()
+                    .filter(|w| w.is_finite() && *w > 0.0)
+                    .unwrap_or(0.0);
+                (n.id, w)
+            }),
+    );
     if candidates.is_empty() {
         return None;
     }
@@ -42,7 +48,7 @@ pub fn weighted_select(
     }
     let draw = adapt_availability::dist::uniform_open01(rng) * total;
     let mut acc = 0.0;
-    for (id, w) in &candidates {
+    for (id, w) in candidates.iter() {
         acc += w;
         if draw < acc {
             return Some(*id);
@@ -79,7 +85,7 @@ mod tests {
         let v = view(3, &[]);
         let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(
-            weighted_select(&v, &[1.0, 1.0, 1.0], &|_| false, &mut rng),
+            weighted_select(&v, &[1.0, 1.0, 1.0], &|_| false, &mut rng, &mut Vec::new()),
             None
         );
     }
@@ -92,7 +98,7 @@ mod tests {
         let mut counts = [0usize; 3];
         let trials = 50_000;
         for _ in 0..trials {
-            let id = weighted_select(&v, &weights, &|_| true, &mut rng).unwrap();
+            let id = weighted_select(&v, &weights, &|_| true, &mut rng, &mut Vec::new()).unwrap();
             counts[id.0 as usize] += 1;
         }
         let expected = [0.6, 0.3, 0.1];
@@ -111,7 +117,8 @@ mod tests {
         let v = view(3, &[0]);
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..100 {
-            let id = weighted_select(&v, &[100.0, 1.0, 1.0], &|_| true, &mut rng).unwrap();
+            let id = weighted_select(&v, &[100.0, 1.0, 1.0], &|_| true, &mut rng, &mut Vec::new())
+                .unwrap();
             assert_ne!(id, NodeId(0));
         }
     }
@@ -122,7 +129,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut seen = [false; 4];
         for _ in 0..200 {
-            let id = weighted_select(&v, &[0.0; 4], &|_| true, &mut rng).unwrap();
+            let id = weighted_select(&v, &[0.0; 4], &|_| true, &mut rng, &mut Vec::new()).unwrap();
             seen[id.0 as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "uniform fallback covers all nodes");
@@ -136,7 +143,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut counts = [0usize; 3];
         for _ in 0..20_000 {
-            let id = weighted_select(&v, &weights, &|id| id != NodeId(0), &mut rng).unwrap();
+            let id = weighted_select(
+                &v,
+                &weights,
+                &|id| id != NodeId(0),
+                &mut rng,
+                &mut Vec::new(),
+            )
+            .unwrap();
             counts[id.0 as usize] += 1;
         }
         assert_eq!(counts[0], 0);
@@ -150,7 +164,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         // Short weight vector: node 2 has no weight; NaN treated as zero.
         for _ in 0..100 {
-            let id = weighted_select(&v, &[f64::NAN, 1.0], &|_| true, &mut rng).unwrap();
+            let id = weighted_select(&v, &[f64::NAN, 1.0], &|_| true, &mut rng, &mut Vec::new())
+                .unwrap();
             assert_eq!(id, NodeId(1));
         }
     }

@@ -224,6 +224,14 @@ mod tests {
     }
 
     #[test]
+    fn almost_reliable_node_completes_in_gamma() {
+        // MTBI f64::MAX: 1/λ overflows, yet E[T] must be ≈ γ, not ∞.
+        let a = NodeAvailability::from_mtbi(f64::MAX, 1.0).unwrap();
+        let t = a.expected_completion(0.5).unwrap();
+        assert!((t - 0.5).abs() <= 1e-9 * 0.5, "E[T] {t}");
+    }
+
+    #[test]
     fn node_spec_capacity_builder() {
         let s = NodeSpec::default().with_capacity(80);
         assert_eq!(s.capacity_blocks(), Some(80));
