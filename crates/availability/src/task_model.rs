@@ -196,13 +196,16 @@ impl TaskModel {
     /// For an almost-reliable host (`λ < 1/f64::MAX`) `1/λ` overflows, so
     /// the term `E[S]/λ` is taken as `γ·(e^{γλ} − 1)/(γλ)`, or `γ` once `γλ`
     /// underflows to zero: `E[T]` then tends to `γ` as the model says. The
-    /// result is `+∞` once `e^{γλ}` overflows (`γλ ≳ 709.78`).
+    /// same `γ` stands in whenever `γλ` underflows, even with a finite
+    /// `1/λ`, where the closed form would give `E[S] = 0` and so
+    /// `E[T] = 0`. The result is `+∞` once `e^{γλ}` overflows
+    /// (`γλ ≳ 709.78`).
     pub fn expected_completion(&self) -> f64 {
         let inverse_lambda = 1.0 / self.lambda;
-        if inverse_lambda.is_finite() {
+        let gl = self.gamma * self.lambda;
+        if inverse_lambda.is_finite() && gl != 0.0 {
             return self.expected_interruptions() * (inverse_lambda + self.expected_downtime());
         }
-        let gl = self.gamma * self.lambda;
         let rework_and_run = if gl > 0.0 {
             self.gamma * (gl.exp_m1() / gl)
         } else {
@@ -474,6 +477,22 @@ mod tests {
                 (t - gamma).abs() <= 1e-9 * gamma,
                 "λ {lambda:e}, γ {gamma}: E[T] {t}"
             );
+        }
+    }
+
+    #[test]
+    fn underflowing_gamma_lambda_completes_in_gamma() {
+        // 1/λ is finite but γλ underflows to zero, so the closed form's
+        // E[S] = e^{γλ} − 1 is exactly 0 and would give E[T] = 0.
+        for (lambda, mu, gamma) in [
+            (1e-300, 1.0, 1e-30),
+            (1e-200, 5.0, 1e-130),
+            (1e-308, 1.0, 1e-20),
+        ] {
+            let m = TaskModel::new(lambda, mu, gamma).unwrap();
+            assert_eq!(gamma * lambda, 0.0);
+            assert!(lambda.recip().is_finite());
+            assert_eq!(m.expected_completion(), gamma, "λ {lambda:e}, γ {gamma:e}");
         }
     }
 

@@ -316,6 +316,22 @@ mod tests {
     }
 
     #[test]
+    fn underflowing_gamma_lambda_gets_a_positive_rate() {
+        // γλ = 1e-30 · 1e-300 underflows to zero while 1/λ stays finite:
+        // E[T] is γ, so the node weighs like a reliable one instead of
+        // dropping out with rate 0.
+        let p = PerformancePredictor::new(1e-30).unwrap();
+        let v = view(vec![
+            (NodeAvailability::from_mtbi(1e300, 1.0).unwrap(), true),
+            (NodeAvailability::reliable(), true),
+        ]);
+        let r = p.rates(&v);
+        assert_eq!(r.expected_times()[0], 1e-30);
+        assert!(r.rate(NodeId(0)).unwrap() > 0.0);
+        assert_eq!(r.rate(NodeId(0)), r.rate(NodeId(1)));
+    }
+
+    #[test]
     fn overflowing_expected_time_gets_zero_rate() {
         // γλ = 710: e^{γλ} overflows, E[T] = ∞, rate 0.
         let p = PerformancePredictor::new(710.0).unwrap();

@@ -22,13 +22,15 @@
 //! it is committed and stays on both links until `end`, whatever happens
 //! to the fetch: a fetch aborted because its source or its destination
 //! died still counts toward the source's outbound streams and its rack's
-//! uplink until the window closes. Closed windows are pruned lazily when
-//! their source commits its next flow.
+//! uplink until the window closes. Closed windows are pruned lazily: from
+//! a source's outbound list when it commits its next flow, from a rack's
+//! uplink heap when the rack's streams are next counted.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use adapt_dfs::NodeId;
+use adapt_ds::MinHeap4;
 use adapt_net::Topology;
 use adapt_trace::{Trace, TraceEvent, TraceMeta, TraceRecorder};
 
@@ -61,14 +63,25 @@ pub(crate) fn node_id(task: usize, id: NodeId, nodes: usize) -> Result<u32, SimE
     }
 }
 
+/// A host whose failure trace holds the outages
+/// `[start, start + duration)`, given in time order.
+#[cfg(test)]
+pub(crate) fn outages(spans: &[(f64, f64)]) -> InterruptionProcess {
+    use adapt_traces::record::{HostId, HostTrace, Interruption};
+    use adapt_traces::replay::InterruptionSchedule;
+    let interruptions = spans
+        .iter()
+        .map(|&(start, duration)| Interruption { start, duration })
+        .collect();
+    let host = HostTrace::new(HostId(0), 1e6, interruptions).unwrap();
+    InterruptionProcess::trace(InterruptionSchedule::from_host_trace(&host))
+}
+
 /// A host whose failure trace holds the one outage
 /// `[start, start + duration)`.
 #[cfg(test)]
 pub(crate) fn outage(start: f64, duration: f64) -> InterruptionProcess {
-    use adapt_traces::record::{HostId, HostTrace, Interruption};
-    use adapt_traces::replay::InterruptionSchedule;
-    let host = HostTrace::new(HostId(0), 1e6, vec![Interruption { start, duration }]).unwrap();
-    InterruptionProcess::trace(InterruptionSchedule::from_host_trace(&host))
+    outages(&[(start, duration)])
 }
 
 /// An event on the shared clock: the host transitions every phase
@@ -91,7 +104,7 @@ pub(crate) struct Flow {
     /// The fetching node.
     pub(crate) dest: u32,
     /// The committer's tag for the fetch (the map engine's per-node
-    /// attempt number; the reduce engine does not need one).
+    /// attempt number; the reduce engine's reducer id).
     pub(crate) tag: u64,
     /// End of the window, seconds.
     pub(crate) end: f64,
@@ -120,6 +133,11 @@ pub(crate) struct Cluster<P> {
     rngs: Vec<StdRng>,
     queue: EventQueue<ClusterEvent<P>>,
     topology: Topology,
+    /// Per rack, the window ends of the cross-rack flows committed from
+    /// it, as `f64::to_bits` (ends are never negative, and non-negative
+    /// floats order like their bit patterns). Windows that had closed by
+    /// the rack's last count are already popped.
+    uplinks: Vec<MinHeap4<u64>>,
     horizon: f64,
     block_bytes: u64,
     /// Time of the last event released.
@@ -163,6 +181,7 @@ impl<P: Copy> Cluster<P> {
                 .collect(),
             rngs: Vec::new(),
             queue,
+            uplinks: vec![MinHeap4::new(); cfg.topology().racks() as usize],
             topology: cfg.topology(),
             horizon: cfg.horizon(),
             block_bytes: cfg.block_size().bytes(),
@@ -316,32 +335,27 @@ impl<P: Copy> Cluster<P> {
             .filter(move |f| f.end > t)
     }
 
-    /// Cross-rack outbound flows active on `rack`'s uplink at `t`. Lazy
-    /// scan over the rack's members (`rack_of` is `node % racks`, so they
-    /// sit at stride `racks`); closed windows are skipped by the `end > t`
-    /// filter.
-    fn cross_rack_streams(&self, rack: u32, t: f64) -> usize {
-        let topo = self.topology;
-        let mut count = 0;
-        let mut ni = rack as usize;
-        while ni < self.hosts.len() {
-            count += self.hosts[ni]
-                .outbound
-                .iter()
-                .filter(|f| f.end > t && topo.rack_of(f.dest) != rack)
-                .count();
-            ni += topo.racks() as usize;
+    /// Cross-rack outbound flows active on `rack`'s uplink at `t`: pops
+    /// the windows that closed by `t` off the rack's heap and counts the
+    /// rest. Exact because every caller passes the event time, so `t`
+    /// never decreases, and a window is fixed at commit (the one flow
+    /// rule), so no flow leaves the uplink before its end.
+    fn cross_rack_streams(&mut self, rack: u32, t: f64) -> usize {
+        let heap = &mut self.uplinks[rack as usize];
+        while heap.peek().is_some_and(|&end| f64::from_bits(end) <= t) {
+            heap.pop();
         }
-        count
+        heap.len()
     }
 
     /// Commits a flow of `base_seconds` (its uncontended intra-rack time)
     /// from `source` to `dest` at `t`, returning the window's end and, for
     /// a cross-rack flow, the streams on the source's uplink including
     /// this one. Cross-rack flows pay the oversubscribed uplink,
-    /// fair-shared over those streams; intra-rack flows keep
-    /// `base_seconds` bit-identically. Records `LinkContention` when the
-    /// new flow shares the uplink.
+    /// fair-shared over those streams, and join the rack's uplink heap;
+    /// intra-rack flows keep `base_seconds` bit-identically. Records
+    /// `LinkContention` when the new flow shares the uplink. `t` must not
+    /// precede an earlier commit's.
     pub(crate) fn commit_flow(
         &mut self,
         source: u32,
@@ -355,6 +369,10 @@ impl<P: Copy> Cluster<P> {
         let uplink = (!topo.same_rack(source, dest)).then(|| self.cross_rack_streams(rack, t) + 1);
         let streams = uplink.unwrap_or(1);
         let end = t + topo.fair_share_seconds(base_seconds, source, dest, streams);
+        if uplink.is_some() {
+            debug_assert!(end >= 0.0, "window end {end} is negative");
+            self.uplinks[rack as usize].push(end.to_bits());
+        }
         let outbound = &mut self.hosts[source as usize].outbound;
         outbound.retain(|f| f.end > t);
         outbound.push(Flow { dest, tag, end });
@@ -394,6 +412,7 @@ impl<P: Copy> Cluster<P> {
 mod tests {
     use super::*;
     use adapt_dfs::BlockSize;
+    use proptest::prelude::*;
 
     fn cluster(n: usize, topology: Topology) -> Cluster<()> {
         let cfg = SimConfig::new(8.0, BlockSize::DEFAULT, 12.0)
@@ -427,5 +446,65 @@ mod tests {
         assert_eq!(c.open_flows(2, 20.0).count(), 2);
         // Intra-rack flows keep the base time bit-identically.
         assert_eq!(c.commit_flow(0, 2, 0, 10.0, 30.0), (40.0, None));
+    }
+    /// The uplink count as a scan over the rack's member hosts (at stride
+    /// `racks`), filtering their outbound flows to the windows open at
+    /// `t` that leave the rack: the oracle for the per-rack window heap.
+    fn stride_scan(c: &Cluster<()>, rack: u32, t: f64) -> usize {
+        let topo = c.topology;
+        let mut count = 0;
+        let mut ni = rack as usize;
+        while ni < c.hosts.len() {
+            count += c.hosts[ni]
+                .outbound
+                .iter()
+                .filter(|f| f.end > t && topo.rack_of(f.dest) != rack)
+                .count();
+            ni += topo.racks() as usize;
+        }
+        count
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Random commit sequences in non-decreasing time — ties, zero-
+        /// length windows, windows closing exactly at a later commit, and
+        /// hosts going down and up mid-flow — count every uplink exactly
+        /// as the scan over the rack's hosts does.
+        #[test]
+        fn uplink_count_matches_a_scan_of_the_rack(
+            racks in 1u32..17,
+            hosts in 1usize..257,
+            commits in prop::collection::vec(
+                (0u32..1024, 0u32..1024, 0u8..4, 0u8..5, 0u8..8),
+                0..300,
+            ),
+        ) {
+            let mut c = cluster(hosts, Topology::new(racks, 2.0).unwrap());
+            c.start(0);
+            let mut t = 0.0;
+            for (source, dest, step, base, outage) in commits {
+                let (source, dest) = (source % hosts as u32, dest % hosts as u32);
+                t += [0.0, 0.5, 1.0, 4.0][usize::from(step)];
+                let base = [0.0, 0.5, 1.0, 2.5, 8.0][usize::from(base)];
+                if outage == 0 {
+                    if c.is_up(source) {
+                        c.take_down(source, t);
+                    } else {
+                        c.bring_up(source, t);
+                    }
+                }
+                let rack = c.topology.rack_of(source);
+                let expected = (!c.topology.same_rack(source, dest))
+                    .then(|| stride_scan(&c, rack, t) + 1);
+                let (end, uplink) = c.commit_flow(source, dest, 0, base, t);
+                prop_assert_eq!(uplink, expected);
+                let streams = expected.unwrap_or(1);
+                prop_assert_eq!(
+                    end,
+                    t + c.topology.fair_share_seconds(base, source, dest, streams)
+                );
+            }
+        }
     }
 }

@@ -37,6 +37,7 @@
 //! byte exactly (the conservation law the metamorphic suite pins).
 
 use adapt_dfs::{BlockSize, NodeId};
+use adapt_ds::IdSet;
 use adapt_trace::{Trace, TraceEvent, TraceRecorder};
 
 use crate::cluster::{self, Cluster, ClusterEvent};
@@ -173,6 +174,12 @@ pub struct ReducePhaseSim {
     output_bytes: Vec<u64>,
     cluster: Cluster<ReduceEvent>,
     reducers: Vec<ReducerState>,
+    /// Per host, the ids of the reducers pinned to it, ascending.
+    hosted: Vec<Vec<u32>>,
+    /// Reducers in [`ReducerPhase::Blocked`].
+    blocked: IdSet,
+    /// Scratch for the reducer ids an outage or a recovery visits.
+    visit: Vec<u32>,
     done_count: usize,
     // Accumulators.
     attempts: usize,
@@ -264,13 +271,20 @@ impl ReducePhaseSim {
                 })
             })
             .collect::<Result<Vec<_>, SimError>>()?;
+        let mut hosted = vec![Vec::new(); n];
+        for (r, reducer) in reducers.iter().enumerate() {
+            hosted[reducer.node as usize].push(r as u32);
+        }
         Ok(ReducePhaseSim {
             cfg,
             reduce_gamma,
             holders: holder_ids,
             output_bytes,
             cluster,
+            blocked: IdSet::new(reducers.len()),
             reducers,
+            hosted,
+            visit: Vec::new(),
             done_count: 0,
             attempts: 0,
             fetches: 0,
@@ -391,10 +405,13 @@ impl ReducePhaseSim {
             // fetch — with every holder down the reducer blocks.
             let Some(&source) = self.holders[m].iter().find(|&&h| self.cluster.is_up(h)) else {
                 self.reducers[ri].phase = ReducerPhase::Blocked;
+                self.blocked.insert(ri);
                 return;
             };
             let base = BlockSize::from_bytes(bytes).transfer_seconds(self.cfg.bandwidth_mbps());
-            let (end, uplink) = self.cluster.commit_flow(source, node, 0, base, t);
+            let (end, uplink) = self
+                .cluster
+                .commit_flow(source, node, u64::from(r), base, t);
             self.fetches += 1;
             self.reducers[ri].phase = ReducerPhase::Fetching {
                 task: m,
@@ -495,18 +512,19 @@ impl ReducePhaseSim {
 
         // Reducers hosted here lose everything shuffled so far —
         // equation (2)'s rework applied to the reduce phase.
-        for r in 0..self.reducers.len() as u32 {
+        for i in 0..self.hosted[n as usize].len() {
+            let r = self.hosted[n as usize][i];
             let ri = r as usize;
-            if self.reducers[ri].node != n {
-                continue;
-            }
             match self.reducers[ri].phase {
                 ReducerPhase::Done | ReducerPhase::WaitingRecovery => continue,
                 ReducerPhase::Fetching { .. } => self.abort_fetch(r, t),
                 ReducerPhase::Computing { start } => {
                     self.rework += (t - start).clamp(0.0, self.reduce_gamma);
                 }
-                ReducerPhase::Idle | ReducerPhase::Blocked => {}
+                ReducerPhase::Blocked => {
+                    self.blocked.remove(ri);
+                }
+                ReducerPhase::Idle => {}
             }
             self.reducers[ri].epoch += 1;
             self.reducers[ri].attempt_seq += 1;
@@ -517,7 +535,15 @@ impl ReducePhaseSim {
         // re-sources from another alive holder or blocks. (The hosted-
         // reducer pass above already moved this node's own reducers out
         // of `Fetching`, so no reducer is re-sourced onto a dead host.)
-        for r in 0..self.reducers.len() as u32 {
+        // Every fetch from this node has its window open here, tagged
+        // with its reducer; windows of fetches aborted earlier stay
+        // listed too, and the phase check skips them.
+        let mut visit = std::mem::take(&mut self.visit);
+        visit.clear();
+        visit.extend(self.cluster.open_flows(n, t).map(|f| f.tag as u32));
+        visit.sort_unstable();
+        visit.dedup();
+        for &r in &visit {
             let ri = r as usize;
             let ReducerPhase::Fetching { source, end, .. } = self.reducers[ri].phase else {
                 continue;
@@ -529,6 +555,7 @@ impl ReducePhaseSim {
             self.reducers[ri].epoch += 1;
             self.advance(r, t);
         }
+        self.visit = visit;
     }
 
     fn on_up(&mut self, n: u32, t: f64) {
@@ -536,14 +563,28 @@ impl ReducePhaseSim {
         // Hosted reducers restart their attempt from scratch; blocked
         // reducers anywhere get another look (this node may now be the
         // alive holder they were waiting for). Ascending reducer order
-        // keeps the retry sequence deterministic.
-        for r in 0..self.reducers.len() as u32 {
+        // keeps the retry sequence deterministic. A handler changes only
+        // its own reducer, so the hosted ids merged with a snapshot of the
+        // blocked set are every reducer a full scan would act on.
+        let mut visit = std::mem::take(&mut self.visit);
+        visit.clear();
+        let mut hosted = self.hosted[n as usize].iter().copied().peekable();
+        for b in self.blocked.iter().map(|r| r as u32) {
+            while let Some(h) = hosted.next_if(|&h| h < b) {
+                visit.push(h);
+            }
+            hosted.next_if_eq(&b);
+            visit.push(b);
+        }
+        visit.extend(hosted);
+        for &r in &visit {
             let ri = r as usize;
             match self.reducers[ri].phase {
                 ReducerPhase::WaitingRecovery if self.reducers[ri].node == n => {
                     self.start_attempt(r, t);
                 }
                 ReducerPhase::Blocked => {
+                    self.blocked.remove(ri);
                     self.advance(r, t);
                 }
                 ReducerPhase::WaitingRecovery
@@ -553,6 +594,7 @@ impl ReducePhaseSim {
                 | ReducerPhase::Done => {}
             }
         }
+        self.visit = visit;
     }
 
     fn finalize(mut self, elapsed: f64, completed: bool, seed: u64) -> ReduceDetailed {
@@ -598,7 +640,7 @@ impl ReducePhaseSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::outage;
+    use crate::cluster::{outage, outages};
     use adapt_net::Topology;
 
     const MB: u64 = 1_048_576;
@@ -888,5 +930,173 @@ mod tests {
         assert_eq!(report.finish, vec![None]);
         assert_eq!(report.fetches_aborted, 1);
         assert_eq!(report.network_bytes, 0);
+    }
+
+    /// A `ShuffleFetch` record of one 8 MB slice.
+    fn slice_fetch(
+        reducer: u32,
+        source: u32,
+        dest: u32,
+        task: u32,
+        start: f64,
+        end: f64,
+        aborted: bool,
+    ) -> TraceEvent {
+        TraceEvent::ShuffleFetch {
+            reducer,
+            source,
+            dest,
+            task,
+            bytes: 8 * MB,
+            start,
+            end,
+            aborted,
+        }
+    }
+
+    fn started(reducer: u32, node: u32, attempt: u64, t: f64) -> TraceEvent {
+        TraceEvent::ReduceStarted {
+            reducer,
+            node,
+            attempt,
+            t,
+        }
+    }
+
+    #[test]
+    fn source_death_aborts_fetches_in_ascending_reducer_order() {
+        // Node 0 holds the only map output (8 MB slices, 8 s fetches) and
+        // hosts reducers 0, 2, 4, which read it locally. It is down over
+        // [1, 2) and [5, 6). Reducer 3 (node 2) loses its first fetch at
+        // 1, blocks, and refetches at 2, so node 0 then carries a killed
+        // window and a live one for it. Reducers 5 (node 3, up at 3) and
+        // 1 (node 1, up at 4) commit after it, in that order. At 5 the
+        // aborted records still come out as 1, 3, 5, and at 6 the
+        // blocked reducers resume between the hosted restarts.
+        let hosts = vec![
+            outages(&[(1.0, 1.0), (5.0, 1.0)]),
+            outage(0.0, 4.0),
+            InterruptionProcess::none(),
+            outage(0.0, 3.0),
+        ];
+        let detailed = phase(hosts, &[&[0]], &[48 * MB], &[0, 1, 0, 2, 0, 3], cfg())
+            .with_trace(TraceRecorder::new())
+            .run(7)
+            .unwrap();
+        assert_eq!(detailed.report.elapsed, 24.0);
+        assert_eq!(detailed.report.fetches_aborted, 4);
+        let expected = vec![
+            TraceEvent::NodeDown { node: 1, t: 0.0 },
+            TraceEvent::NodeDown { node: 3, t: 0.0 },
+            started(0, 0, 0, 0.0),
+            started(2, 0, 0, 0.0),
+            started(3, 2, 0, 0.0),
+            started(4, 0, 0, 0.0),
+            TraceEvent::NodeDown { node: 0, t: 1.0 },
+            slice_fetch(3, 0, 2, 0, 0.0, 1.0, true),
+            TraceEvent::NodeUp {
+                node: 0,
+                since: 1.0,
+                t: 2.0,
+            },
+            started(0, 0, 1, 2.0),
+            started(2, 0, 1, 2.0),
+            started(4, 0, 1, 2.0),
+            TraceEvent::NodeUp {
+                node: 3,
+                since: 0.0,
+                t: 3.0,
+            },
+            started(5, 3, 1, 3.0),
+            TraceEvent::NodeUp {
+                node: 1,
+                since: 0.0,
+                t: 4.0,
+            },
+            started(1, 1, 1, 4.0),
+            TraceEvent::NodeDown { node: 0, t: 5.0 },
+            slice_fetch(1, 0, 1, 0, 4.0, 5.0, true),
+            slice_fetch(3, 0, 2, 0, 2.0, 5.0, true),
+            slice_fetch(5, 0, 3, 0, 3.0, 5.0, true),
+            TraceEvent::NodeUp {
+                node: 0,
+                since: 5.0,
+                t: 6.0,
+            },
+            started(0, 0, 2, 6.0),
+            started(2, 0, 2, 6.0),
+            started(4, 0, 2, 6.0),
+            slice_fetch(1, 0, 1, 0, 6.0, 14.0, false),
+            slice_fetch(3, 0, 2, 0, 6.0, 14.0, false),
+            slice_fetch(5, 0, 3, 0, 6.0, 14.0, false),
+        ];
+        assert_eq!(detailed.trace.unwrap().events, expected);
+    }
+
+    #[test]
+    fn recovery_resumes_hosted_and_blocked_reducers_in_ascending_order() {
+        // Node 0 holds output 0 and hosts reducers 1 and 3; node 2 holds
+        // output 1. Node 0 is down over [1, 4): reducers 1 and 3 lose
+        // their output-1 fetches and wait for it, reducers 0, 2, 4 (on
+        // nodes 1 and 3) lose their output-0 fetches and block. Reducer 5
+        // waits for its own host, node 4, until 30. At 4 the five resume
+        // as 0, 1, 2, 3, 4, each committing an 8 s fetch, so the fetches
+        // ending at 12 complete in that order; reducer 5 stays put.
+        let hosts = vec![
+            outage(1.0, 3.0),
+            InterruptionProcess::none(),
+            InterruptionProcess::none(),
+            InterruptionProcess::none(),
+            outage(0.0, 30.0),
+        ];
+        let detailed = phase(
+            hosts,
+            &[&[0], &[2]],
+            &[48 * MB, 48 * MB],
+            &[1, 0, 3, 0, 1, 4],
+            cfg(),
+        )
+        .with_trace(TraceRecorder::new())
+        .run(7)
+        .unwrap();
+        assert_eq!(detailed.report.elapsed, 56.0);
+        let expected = vec![
+            TraceEvent::NodeDown { node: 4, t: 0.0 },
+            started(0, 1, 0, 0.0),
+            started(1, 0, 0, 0.0),
+            started(2, 3, 0, 0.0),
+            started(3, 0, 0, 0.0),
+            started(4, 1, 0, 0.0),
+            TraceEvent::NodeDown { node: 0, t: 1.0 },
+            slice_fetch(1, 2, 0, 1, 0.0, 1.0, true),
+            slice_fetch(3, 2, 0, 1, 0.0, 1.0, true),
+            slice_fetch(0, 0, 1, 0, 0.0, 1.0, true),
+            slice_fetch(2, 0, 3, 0, 0.0, 1.0, true),
+            slice_fetch(4, 0, 1, 0, 0.0, 1.0, true),
+            TraceEvent::NodeUp {
+                node: 0,
+                since: 1.0,
+                t: 4.0,
+            },
+            started(1, 0, 1, 4.0),
+            started(3, 0, 1, 4.0),
+            slice_fetch(0, 0, 1, 0, 4.0, 12.0, false),
+            slice_fetch(1, 2, 0, 1, 4.0, 12.0, false),
+            slice_fetch(2, 0, 3, 0, 4.0, 12.0, false),
+            slice_fetch(3, 2, 0, 1, 4.0, 12.0, false),
+            slice_fetch(4, 0, 1, 0, 4.0, 12.0, false),
+            slice_fetch(0, 2, 1, 1, 12.0, 20.0, false),
+            slice_fetch(2, 2, 3, 1, 12.0, 20.0, false),
+            slice_fetch(4, 2, 1, 1, 12.0, 20.0, false),
+            TraceEvent::NodeUp {
+                node: 4,
+                since: 0.0,
+                t: 30.0,
+            },
+            started(5, 4, 1, 30.0),
+            slice_fetch(5, 0, 4, 0, 30.0, 38.0, false),
+            slice_fetch(5, 2, 4, 1, 38.0, 46.0, false),
+        ];
+        assert_eq!(detailed.trace.unwrap().events, expected);
     }
 }

@@ -7,11 +7,11 @@
 //! It is written independently of `adapt_sim`'s substrate on purpose:
 //! the oracle is only worth something if the two sides share no code.
 //! Where the engine pops a 4-ary heap, [`NaiveQueue`] scans an unsorted
-//! `Vec` for the `(time, seq)` minimum; where the engine strides over one
-//! rack's members to count uplink flows, [`NaiveCluster`] walks every
-//! host. The per-node seed derivation (splitmix64 over `(seed, node)`) is
-//! duplicated deliberately: it is part of the engine's determinism
-//! contract, so the reference pins it.
+//! `Vec` for the `(time, seq)` minimum; where the engine pops closed
+//! windows off a per-rack heap of window ends to count uplink flows,
+//! [`NaiveCluster`] walks every host. The per-node seed derivation
+//! (splitmix64 over `(seed, node)`) is duplicated deliberately: it is
+//! part of the engine's determinism contract, so the reference pins it.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

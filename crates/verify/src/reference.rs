@@ -13,7 +13,7 @@
 //! | `SortedVecSet`                | `BTreeSet<usize>`                 |
 //! | `EventQueue` (4-ary heap)     | `Vec` + linear scan for the min   |
 //! | reused `freed_buf` scratch    | a fresh `Vec` per event           |
-//! | rack-stride uplink scan       | scan over every host              |
+//! | per-rack uplink window heap   | scan over every host              |
 //!
 //! Both sides of each row share a *specified* observable order: bitset
 //! and `BTreeSet` iterate ascending, and the queue releases events by

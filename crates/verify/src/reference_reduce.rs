@@ -4,8 +4,10 @@
 //! Same decision rules, same tie-breaks, same trace emission points —
 //! but built on the crate's naive substrate: the event queue is an
 //! unsorted `Vec` scanned linearly for the `(time, seq)` minimum instead
-//! of the engine's 4-ary heap, and the cross-rack stream count walks
-//! every host instead of striding over one rack's members. Under the
+//! of the engine's 4-ary heap, the cross-rack stream count walks every
+//! host instead of popping a per-rack heap of window ends, and outages
+//! and recoveries scan every reducer instead of the engine's per-host
+//! reducer lists, blocked set and reducer-tagged flows. Under the
 //! byte-identical output rule the two implementations must produce equal
 //! [`ReduceReport`]s and traces on every valid input; any divergence the
 //! oracle finds is a real bug.
